@@ -5,12 +5,24 @@ solvers that add every sufficiently large gradient entry at once (with a
 hard-thresholded "enhanced" variant that keeps iterates k-sparse), and
 the CoSaMP / subspace-pursuit baselines.
 
-The support-growing solvers are exposed as pure step functions over an
-immutable :class:`IterateState`, plus a single :func:`run` entry point
-that applies a stopping rule and records a per-iteration trace.  States
+Each solver is a pure step function over an immutable
+:class:`IterateState`: :func:`omp_step`, :func:`gomp_step`,
+:func:`domp_step`, :func:`edomp_step`, :func:`cosamp_step` and
+:func:`sp_step`.  One engine, :func:`iterate`, validates the inputs once,
+applies the stopping tests before every step and yields each state;
+:func:`run` drains it into a report with a per-iteration trace.  States
 carry a snapshot of an incremental QR factorization so that nested
 supports are re-projected in O(m t) per added column; the factorization
 falls back to a from-scratch minimum-norm solve when it goes degenerate.
+
+Termination reasons, tested in this order before each step: the stopping
+rule's kind, "global-optimum" on a numerically zero gradient residual,
+"iteration-cap" once the budget is spent.  A step can end the run too:
+"global-optimum" when the growing solvers find nothing left to select,
+"stalled" when a growing solver's step changes neither support nor
+estimate, and "residual-increase" when a subspace-pursuit step would not
+lower the measurement residual (the step is rejected).  CoSaMP has no
+stall or residual test and runs to its budget.
 """
 
 import time
@@ -29,16 +41,16 @@ __all__ = [
     "StoppingRule",
     "TraceEntry",
     "ZeroResidualError",
-    "cosamp_run",
+    "cosamp_step",
     "domp_step",
     "edomp_step",
-    "gomp_run",
     "gomp_step",
     "initial_state",
+    "iterate",
     "omp_step",
     "run",
     "select_dynamic_indices",
-    "sp_run",
+    "sp_step",
 ]
 
 ALGORITHMS = ("omp", "gomp", "domp", "edomp", "cosamp", "sp")
@@ -97,29 +109,30 @@ def select_dynamic_indices(r, k, gamma):
     return top[np.abs(r[top]) >= gamma * rmax]
 
 
-def _project(A, y, state, new_support, selected, from_scratch=False):
-    """Build the next state: least squares on ``new_support``, fresh residual."""
-    solver = state.solver
-    x = None
-    if not from_scratch:
-        if solver is None:
-            solver = linalg.IncrementalQRSolver(A, y).extended(new_support)
-        else:
-            fresh = new_support[~np.isin(new_support, state.support)]
-            solver = solver.extended(fresh)
-        x = solver.solve()
-    if x is None:
-        x = linalg.restricted_least_squares(A, y, new_support)
+def _next_state(A, y, previous, x, support, selected, solver=None):
+    """The state after ``previous`` with estimate ``x`` and a fresh residual."""
     misfit = y - A @ x
     return IterateState(
         x=x,
-        support=np.asarray(new_support, dtype=np.int64),
+        support=np.asarray(support, dtype=np.int64),
         r=A.T @ misfit,
-        p=state.p + 1,
+        p=previous.p + 1,
         residual_norm=float(np.linalg.norm(misfit)),
         selected=selected,
         solver=solver,
     )
+
+
+def _project(A, y, state, new_support, selected):
+    """Build the next state: least squares on ``new_support``, fresh residual."""
+    if state.solver is None:
+        solver = linalg.IncrementalQRSolver(A, y).extended(new_support)
+    else:
+        solver = state.solver.extended(new_support[~np.isin(new_support, state.support)])
+    x = solver.solve()
+    if x is None:
+        x = linalg.restricted_least_squares(A, y, new_support)
+    return _next_state(A, y, state, x, new_support, selected, solver)
 
 
 def _union(support, added):
@@ -168,22 +181,29 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
     tentative = _project(A, y, state, grown, theta.size)
     keep = linalg.top_q_indices(tentative.x, k)
     x = linalg.restricted_least_squares(A, y, keep)
-    misfit = y - A @ x
     if reset_support:
-        support = np.flatnonzero(x).astype(np.int64)
-        solver = None
-    else:
-        support = grown
-        solver = tentative.solver
-    return IterateState(
-        x=x,
-        support=support,
-        r=A.T @ misfit,
-        p=state.p + 1,
-        residual_norm=float(np.linalg.norm(misfit)),
-        selected=theta.size,
-        solver=solver,
-    )
+        return _next_state(A, y, state, x, np.flatnonzero(x), theta.size)
+    return _next_state(A, y, state, x, grown, theta.size, tentative.solver)
+
+
+def cosamp_step(state, A, y, k):
+    """One CoSaMP iteration: merge the top-2k gradient indices into the
+    current support, least squares on the union, keep the k largest
+    entries of the solution without re-solving."""
+    proxy = linalg.top_q_indices(state.r, min(2 * k, A.shape[1]))
+    merged = np.union1d(proxy, np.flatnonzero(state.x)).astype(np.int64)
+    x = linalg.hard_threshold(linalg.restricted_least_squares(A, y, merged), k)
+    return _next_state(A, y, state, x, np.flatnonzero(x), int(proxy.size))
+
+
+def sp_step(state, A, y, k):
+    """One subspace-pursuit iteration: add the top-k gradient indices,
+    least squares on the union, keep its top-k entries, re-project on them."""
+    proxy = linalg.top_q_indices(state.r, k)
+    merged = np.union1d(proxy, state.support).astype(np.int64)
+    keep = linalg.top_q_indices(linalg.restricted_least_squares(A, y, merged), k)
+    x = linalg.restricted_least_squares(A, y, keep)
+    return _next_state(A, y, state, x, np.sort(keep), int(proxy.size))
 
 
 @dataclass(frozen=True)
@@ -236,9 +256,19 @@ class StoppingRule:
             return state.residual_norm <= self.epsilon
         if self.kind == "gradient-residual":
             return float(np.linalg.norm(state.r)) <= self.epsilon
-        scale = float(np.linalg.norm(self.truth))
-        err = float(np.linalg.norm(state.x - self.truth))
-        return err <= self.epsilon * scale if scale > 0 else err <= self.epsilon
+        return _relative_error(state.x, self.truth) <= self.epsilon
+
+
+def _relative_error(x, truth):
+    """||x - truth|| / ||truth||, or the plain distance for a zero truth.
+
+    The relative-error stopping rule and the success score of a report both
+    compare this one quantity with their threshold, so at equal thresholds
+    a state scores as a success exactly when the rule would stop on it.
+    """
+    scale = float(np.linalg.norm(truth))
+    err = float(np.linalg.norm(x - truth))
+    return err / scale if scale > 0 else err
 
 
 @dataclass(frozen=True)
@@ -320,19 +350,122 @@ def _trace_entry(state):
     )
 
 
-def _residual_is_zero(state, zero_scale, tolerance):
-    rmax = np.abs(state.r).max() if state.r.size else 0.0
-    return rmax <= tolerance * zero_scale
+def _validated(A, y, config):
+    """The one input check of every solver: (A, y) as float arrays."""
+    if not isinstance(config, AlgorithmConfig):
+        raise ValueError("config must be an AlgorithmConfig")
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
+        raise ValueError("A must be m x n and y length m")
+    linalg._require_finite(A, y)
+    if config.k > A.shape[1]:
+        raise ValueError(f"sparsity k={config.k} exceeds the n={A.shape[1]} columns of A")
+    return A, y
 
 
-def _finish(config, state, trace, reason, started, truth, success_threshold):
+def _stalled(previous, state):
+    same = (
+        state.support.size == previous.support.size
+        and np.array_equal(state.support, previous.support)
+        and np.array_equal(state.x, previous.x)
+    )
+    return state, "stalled" if same else None
+
+
+def _decreasing(previous, candidate):
+    if previous.p > 0 and candidate.residual_norm >= previous.residual_norm:
+        return None, "residual-increase"
+    return candidate, None
+
+
+def _step(config, A, y):
+    """The configured solver's step: state -> (next state, reason).
+
+    The next state is None when the step is rejected; a reason ends the
+    run after the next state (if any) is yielded.
+    """
+    k, gamma = config.k, config.gamma
+    if config.algorithm == "cosamp":
+        return lambda s: (cosamp_step(s, A, y, k), None)
+    if config.algorithm == "sp":
+        return lambda s: _decreasing(s, sp_step(s, A, y, k))
+    if config.algorithm == "omp":
+        return lambda s: _stalled(s, omp_step(s, A, y))
+    if config.algorithm == "gomp":
+        n_select = config.n_select if config.n_select is not None else 1
+        return lambda s: _stalled(s, gomp_step(s, A, y, n_select))
+    if config.algorithm == "domp":
+        return lambda s: _stalled(s, domp_step(s, A, y, k, gamma))
+    return lambda s: _stalled(s, edomp_step(s, A, y, k, gamma, config.reset_support))
+
+
+def iterate(A, y, config):
+    """Run the configured solver on (A, y), yielding each state.
+
+    The zero iterate comes first, then one state per accepted step.  The
+    generator returns the termination reason (see the module docstring).
+    Non-finite A or y, mismatched shapes and k > n raise ValueError before
+    the first state.
+    """
+    A, y = _validated(A, y, config)
+    step = _step(config, A, y)
+    budget = _budget(config)
+    state = initial_state(A, y)
+    zero_scale = np.abs(state.r).max() if y.any() else 0.0
+    yield state
+    while True:
+        if config.stopping is not None and config.stopping.satisfied(state):
+            return config.stopping.kind
+        if np.abs(state.r).max() <= config.tolerance * zero_scale:
+            return "global-optimum"
+        if state.p >= budget:
+            return "iteration-cap"
+        try:
+            following, reason = step(state)
+        except ZeroResidualError:
+            return "global-optimum"
+        if following is not None:
+            state = following
+            yield state
+        if reason is not None:
+            return reason
+
+
+def run(A, y, config, truth=None, success_threshold=1e-5):
+    """Run the configured solver on (A, y) and report the full trace.
+
+    Deterministic given its inputs.  When a ground truth is available
+    (either here or inside a relative-error stopping rule) the report
+    carries the relative error and a success flag at ``success_threshold``.
+    Raises ValueError on invalid input (see :func:`iterate`) and warns
+    when k is not below m.
+    """
+    started = time.perf_counter()
+    states = iterate(A, y, config)
+    state = next(states)
+    m = np.shape(y)[0]
+    if config.k >= m:
+        warnings.warn(
+            f"sparsity k={config.k} is not below m={m}; restricted "
+            "projections may become underdetermined",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    trace = []
+    while True:
+        try:
+            state = next(states)
+        except StopIteration as stop:
+            reason = stop.value
+            break
+        trace.append(_trace_entry(state))
     success = None
     rel = None
+    if truth is None and config.stopping is not None and config.stopping.truth is not None:
+        truth = config.stopping.truth
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        scale = float(np.linalg.norm(truth))
-        err = float(np.linalg.norm(state.x - truth))
-        rel = err / scale if scale > 0 else err
+        rel = _relative_error(state.x, np.asarray(truth, dtype=float))
         success = rel <= success_threshold
     return AlgorithmReport(
         algorithm=config.algorithm,
@@ -347,180 +480,3 @@ def _finish(config, state, trace, reason, started, truth, success_threshold):
         success=success,
         relative_error=rel,
     )
-
-
-def run(A, y, config, truth=None, success_threshold=1e-5):
-    """Run the configured solver on (A, y) and report the full trace.
-
-    Deterministic given its inputs.  When a ground truth is available
-    (either here or inside a relative-error stopping rule) the report
-    carries the relative error and a success flag at ``success_threshold``.
-
-    Termination reasons: the stopping rule's kind once it fires,
-    "global-optimum" on a (numerically) zero gradient residual,
-    "iteration-cap" when the budget runs out, "stalled" when an iteration
-    changes neither support nor estimate (possible for the thresholded
-    variant once its selection settles), and "residual-increase" for the
-    subspace-pursuit early stop.
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
-        raise ValueError("A must be m x n and y length m")
-    if not isinstance(config, AlgorithmConfig):
-        raise ValueError("config must be an AlgorithmConfig")
-    if config.k >= A.shape[0]:
-        warnings.warn(
-            f"sparsity k={config.k} is not below m={A.shape[0]}; restricted "
-            "projections may become underdetermined",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if truth is None and config.stopping is not None and config.stopping.truth is not None:
-        truth = config.stopping.truth
-
-    started = time.perf_counter()
-    if config.algorithm == "cosamp":
-        return _cosamp(A, y, config, started, truth, success_threshold)
-    if config.algorithm == "sp":
-        return _sp(A, y, config, started, truth, success_threshold)
-
-    if config.algorithm == "omp":
-        step = lambda s: omp_step(s, A, y)
-    elif config.algorithm == "gomp":
-        n_select = config.n_select if config.n_select is not None else 1
-        step = lambda s: gomp_step(s, A, y, n_select)
-    elif config.algorithm == "domp":
-        step = lambda s: domp_step(s, A, y, config.k, config.gamma)
-    else:
-        step = lambda s: edomp_step(s, A, y, config.k, config.gamma, config.reset_support)
-
-    budget = _budget(config)
-    zero_scale = np.abs(A.T @ y).max() if y.any() else 0.0
-    state = initial_state(A, y)
-    trace = []
-    while True:
-        if config.stopping is not None and config.stopping.satisfied(state):
-            reason = config.stopping.kind
-            break
-        if _residual_is_zero(state, zero_scale, config.tolerance):
-            reason = "global-optimum"
-            break
-        if state.p >= budget:
-            reason = "iteration-cap"
-            break
-        previous = state
-        try:
-            state = step(state)
-        except ZeroResidualError:
-            reason = "global-optimum"
-            break
-        trace.append(_trace_entry(state))
-        if (
-            state.support.size == previous.support.size
-            and np.array_equal(state.support, previous.support)
-            and np.array_equal(state.x, previous.x)
-        ):
-            reason = "stalled"
-            break
-    return _finish(config, state, trace, reason, started, truth, success_threshold)
-
-
-def _cosamp(A, y, config, started, truth, success_threshold):
-    """Standard CoSaMP: merge the top-2k gradient indices into the current
-    support, least squares on the union, keep the k largest entries of
-    the solution without re-solving, update the residual."""
-    k = config.k
-    n = A.shape[1]
-    budget = _budget(config)
-    zero_scale = np.abs(A.T @ y).max() if y.any() else 0.0
-    state = initial_state(A, y)
-    trace = []
-    while True:
-        if config.stopping is not None and config.stopping.satisfied(state):
-            reason = config.stopping.kind
-            break
-        if _residual_is_zero(state, zero_scale, config.tolerance):
-            reason = "global-optimum"
-            break
-        if state.p >= budget:
-            reason = "iteration-cap"
-            break
-        proxy = linalg.top_q_indices(state.r, min(2 * k, n))
-        merged = np.union1d(proxy, np.flatnonzero(state.x)).astype(np.int64)
-        b = linalg.restricted_least_squares(A, y, merged)
-        x = linalg.hard_threshold(b, k)
-        misfit = y - A @ x
-        state = IterateState(
-            x=x,
-            support=np.flatnonzero(x).astype(np.int64),
-            r=A.T @ misfit,
-            p=state.p + 1,
-            residual_norm=float(np.linalg.norm(misfit)),
-            selected=int(proxy.size),
-        )
-        trace.append(_trace_entry(state))
-    return _finish(config, state, trace, reason, started, truth, success_threshold)
-
-
-def _sp(A, y, config, started, truth, success_threshold):
-    """Standard subspace pursuit: add the top-k gradient indices, least
-    squares on the union, keep the top-k entries, re-project on them.
-    Terminates with the previous iterate once the measurement residual
-    stops decreasing."""
-    k = config.k
-    budget = _budget(config)
-    zero_scale = np.abs(A.T @ y).max() if y.any() else 0.0
-    state = initial_state(A, y)
-    trace = []
-    while True:
-        if config.stopping is not None and config.stopping.satisfied(state):
-            reason = config.stopping.kind
-            break
-        if _residual_is_zero(state, zero_scale, config.tolerance):
-            reason = "global-optimum"
-            break
-        if state.p >= budget:
-            reason = "iteration-cap"
-            break
-        proxy = linalg.top_q_indices(state.r, min(k, A.shape[1]))
-        merged = np.union1d(proxy, state.support).astype(np.int64)
-        b = linalg.restricted_least_squares(A, y, merged)
-        keep = linalg.top_q_indices(b, min(k, A.shape[1]))
-        x = linalg.restricted_least_squares(A, y, keep)
-        misfit = y - A @ x
-        candidate = IterateState(
-            x=x,
-            support=np.sort(keep).astype(np.int64),
-            r=A.T @ misfit,
-            p=state.p + 1,
-            residual_norm=float(np.linalg.norm(misfit)),
-            selected=int(proxy.size),
-        )
-        if state.p > 0 and candidate.residual_norm >= state.residual_norm:
-            reason = "residual-increase"
-            break
-        state = candidate
-        trace.append(_trace_entry(state))
-    return _finish(config, state, trace, reason, started, truth, success_threshold)
-
-
-def gomp_run(A, y, config, truth=None, success_threshold=1e-5):
-    """Convenience wrapper: run gOMP with the given config."""
-    if config.algorithm != "gomp":
-        raise ValueError("gomp_run needs a gomp config")
-    return run(A, y, config, truth=truth, success_threshold=success_threshold)
-
-
-def cosamp_run(A, y, config, truth=None, success_threshold=1e-5):
-    """Convenience wrapper: run CoSaMP with the given config."""
-    if config.algorithm != "cosamp":
-        raise ValueError("cosamp_run needs a cosamp config")
-    return run(A, y, config, truth=truth, success_threshold=success_threshold)
-
-
-def sp_run(A, y, config, truth=None, success_threshold=1e-5):
-    """Convenience wrapper: run subspace pursuit with the given config."""
-    if config.algorithm != "sp":
-        raise ValueError("sp_run needs an sp config")
-    return run(A, y, config, truth=truth, success_threshold=success_threshold)

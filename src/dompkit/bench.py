@@ -18,7 +18,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from statistics import median
 
 import numpy as np
@@ -219,17 +219,61 @@ def _provenance(name, spec_fields, **extra):
     return payload
 
 
-def _success_stats(outcomes):
-    trials = len(outcomes)
-    successes = sum(o.success for o in outcomes)
+def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
+    """Outcomes of every (algorithm, gamma) on each trial of each ensemble.
+
+    Each trial's problem is generated once and shared by all its solves;
+    each (algorithm, gamma) runs once per trial with ``budget(spec)``
+    iterations (None: the solver's default).  ``solve`` replaces
+    :func:`run_trial` and may return anything.  Returns one dict per
+    spec, mapping (algorithm, gamma) to the per-trial results.
+    """
+    keys = [(alg, g) for alg in algorithms for g in gammas]
+    items = [(spec, t) for spec in specs for t in range(trials)]
+
+    def task(item):
+        spec, t = item
+        A, x, y = generate_problem(spec, t)
+        threshold = crc_threshold(spec.noise_amplitude)
+        fn = run_trial if solve is None else solve
+        return [fn(A, y, x, alg, spec.k, g, budget(spec), threshold) for alg, g in keys]
+
+    results = _parallel_map(task, items, threads)
+    return [
+        {key: [r[j] for r in results[i * trials:(i + 1) * trials]] for j, key in enumerate(keys)}
+        for i in range(len(specs))
+    ]
+
+
+def _success_stats(outcomes, budget=None):
+    """Success count, rate and mean iterations, each run cut at ``budget``.
+
+    A run with a smaller budget b is the first b iterations of the longer
+    run, as the budget only enters the solver loop as the test
+    ``p >= budget``.  The recovery criterion is the run's stopping rule
+    (see :func:`run_trial`), and a state scores as a success exactly when
+    that rule stops on it, so every state of the longer run before its
+    last is a failure: the cut run fails after b iterations.
+    """
+    cut = [
+        (o.success, o.iterations) if budget is None or budget >= o.iterations else (False, budget)
+        for o in outcomes
+    ]
+    trials = len(cut)
+    successes = sum(success for success, _ in cut)
     return {
         "trials": trials,
         "successes": successes,
         "success_rate": successes / trials if trials else float("nan"),
-        "mean_iterations": (
-            sum(o.iterations for o in outcomes) / trials if trials else float("nan")
-        ),
+        "mean_iterations": sum(iters for _, iters in cut) / trials if trials else float("nan"),
     }
+
+
+_SUCCESS_COLUMNS = ("trials", "successes", "success_rate", "mean_iterations")
+
+
+def _ensemble_fields(spec):
+    return {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude}
 
 
 def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
@@ -241,40 +285,23 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
     gammas = [float(g) for g in gammas]
     ks = [int(k) for k in ks]
     algorithms = list(algorithms)
-    items = [(k, t) for k in ks for t in range(trials)]
-
-    def task(item):
-        k, t = item
-        local = replace(spec, k=k)
-        A, x, y = generate_problem(local, t)
-        threshold = crc_threshold(spec.noise_amplitude)
-        return {
-            (alg, g): run_trial(A, y, x, alg, k, g, budget=k, threshold=threshold)
-            for alg in algorithms
-            for g in gammas
-        }
-
-    results = _parallel_map(task, items, threads)
-    per_k = {k: [r for (kk, _), r in zip(items, results) if kk == k] for k in ks}
-    cells = []
-    for alg in algorithms:
-        for g in gammas:
-            for k in ks:
-                outcomes = [r[(alg, g)] for r in per_k[k]]
-                cells.append(
-                    SweepCell(
-                        coords={"algorithm": alg, "gamma": g, "k": k},
-                        stats=_success_stats(outcomes),
-                    )
-                )
+    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, gammas, trials, threads,
+                     budget=lambda s: s.k)
+    cells = [
+        SweepCell(coords={"algorithm": alg, "gamma": g, "k": k},
+                  stats=_success_stats(grid[i][alg, g]))
+        for alg in algorithms
+        for g in gammas
+        for i, k in enumerate(ks)
+    ]
     return SweepResult(
         name="phase-gamma",
         axes=["algorithm", "gamma", "k"],
-        stat_columns=["trials", "successes", "success_rate", "mean_iterations"],
+        stat_columns=list(_SUCCESS_COLUMNS),
         cells=cells,
         provenance=_provenance(
             "phase-gamma",
-            {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude},
+            _ensemble_fields(spec),
             seed=spec.master_seed,
             gammas=gammas,
             ks=ks,
@@ -285,44 +312,32 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
 
 
 def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1):
-    """Success rate as a function of the iteration budget."""
+    """Success rate as a function of the iteration budget.
+
+    Each solver runs once per trial, to the largest budget; every smaller
+    budget is scored off that run (see :func:`_success_stats`).
+    """
     budgets = [int(b) for b in budgets]
     ks = [int(k) for k in ks]
     algorithms = list(algorithms)
-    items = [(k, t) for k in ks for t in range(trials)]
-
-    def task(item):
-        k, t = item
-        local = replace(spec, k=k)
-        A, x, y = generate_problem(local, t)
-        threshold = crc_threshold(spec.noise_amplitude)
-        return {
-            (alg, b): run_trial(A, y, x, alg, k, gamma, budget=b, threshold=threshold)
-            for alg in algorithms
-            for b in budgets
-        }
-
-    results = _parallel_map(task, items, threads)
-    per_k = {k: [r for (kk, _), r in zip(items, results) if kk == k] for k in ks}
-    cells = []
-    for alg in algorithms:
-        for b in budgets:
-            for k in ks:
-                outcomes = [r[(alg, b)] for r in per_k[k]]
-                cells.append(
-                    SweepCell(
-                        coords={"algorithm": alg, "budget": b, "k": k},
-                        stats=_success_stats(outcomes),
-                    )
-                )
+    top = max(budgets)
+    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+                     budget=lambda s: top)
+    cells = [
+        SweepCell(coords={"algorithm": alg, "budget": b, "k": k},
+                  stats=_success_stats(grid[i][alg, gamma], b))
+        for alg in algorithms
+        for b in budgets
+        for i, k in enumerate(ks)
+    ]
     return SweepResult(
         name="phase-iters",
         axes=["algorithm", "budget", "k"],
-        stat_columns=["trials", "successes", "success_rate", "mean_iterations"],
+        stat_columns=list(_SUCCESS_COLUMNS),
         cells=cells,
         provenance=_provenance(
             "phase-iters",
-            {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude},
+            _ensemble_fields(spec),
             seed=spec.master_seed,
             budgets=budgets,
             ks=ks,
@@ -338,42 +353,23 @@ def success_curves(spec, ks, algorithms, trials, gamma=0.9, threads=1):
     noise amplitude; the noisy criterion is applied automatically."""
     ks = [int(k) for k in ks]
     algorithms = list(algorithms)
-    items = [(k, t) for k in ks for t in range(trials)]
-
-    def task(item):
-        k, t = item
-        local = replace(spec, k=k)
-        A, x, y = generate_problem(local, t)
-        threshold = crc_threshold(spec.noise_amplitude)
-        out = {}
-        for alg in algorithms:
-            budget = 500 if alg in ("cosamp", "sp") else k
-            out[alg] = run_trial(A, y, x, alg, k, gamma, budget=budget, threshold=threshold)
-        return out
-
-    results = _parallel_map(task, items, threads)
-    per_k = {k: [r for (kk, _), r in zip(items, results) if kk == k] for k in ks}
+    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+                     budget=lambda s: None)
     cells = []
     for alg in algorithms:
-        for k in ks:
-            outcomes = [r[alg] for r in per_k[k]]
+        for i, k in enumerate(ks):
+            outcomes = grid[i][alg, gamma]
             stats = _success_stats(outcomes)
             stats["support_match_rate"] = sum(o.support_match for o in outcomes) / len(outcomes)
             cells.append(SweepCell(coords={"algorithm": alg, "k": k}, stats=stats))
     return SweepResult(
         name="phase-k",
         axes=["algorithm", "k"],
-        stat_columns=[
-            "trials",
-            "successes",
-            "success_rate",
-            "mean_iterations",
-            "support_match_rate",
-        ],
+        stat_columns=[*_SUCCESS_COLUMNS, "support_match_rate"],
         cells=cells,
         provenance=_provenance(
             "phase-k",
-            {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude},
+            _ensemble_fields(spec),
             seed=spec.master_seed,
             ks=ks,
             algorithms=algorithms,
@@ -406,37 +402,29 @@ def scaling_benchmark(
     """
     ms = [int(m) for m in ms]
     algorithms = list(algorithms)
-    sizes = {m: (n_factor * m, max(1, round(k_ratio * m))) for m in ms}
-    items = [(m, t) for m in ms for t in range(trials)]
+    specs = [
+        EnsembleSpec(m=m, n=n_factor * m, k=max(1, round(k_ratio * m)), master_seed=master_seed,
+                     scaling=scaling)
+        for m in ms
+    ]
 
-    def task(item):
-        m, t = item
-        n, k = sizes[m]
-        local = EnsembleSpec(m=m, n=n, k=k, master_seed=master_seed, scaling=scaling)
-        A, x, y = generate_problem(local, t)
-        out = {}
-        for alg in algorithms:
-            budget = 500 if alg in ("cosamp", "sp") else k
-            outcome = run_trial(A, y, x, alg, k, gamma, budget=budget, threshold=1e-5)
-            if timed:
-                times = []
-                run_trial(A, y, x, alg, k, gamma, budget=budget, threshold=1e-5)
-                for _ in range(3):
-                    t0 = time.perf_counter()
-                    run_trial(A, y, x, alg, k, gamma, budget=budget, threshold=1e-5)
-                    times.append(time.perf_counter() - t0)
-                out[alg] = (outcome, sum(times) / 3.0, median(times))
-            else:
-                out[alg] = (outcome, 0.0, 0.0)
-        return out
+    def solve(A, y, x, alg, k, g, budget, threshold):
+        outcome = run_trial(A, y, x, alg, k, g, budget, threshold)
+        if not timed:
+            return outcome, 0.0, 0.0
+        times = []
+        run_trial(A, y, x, alg, k, g, budget, threshold)
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run_trial(A, y, x, alg, k, g, budget, threshold)
+            times.append(time.perf_counter() - t0)
+        return outcome, sum(times) / 3.0, median(times)
 
-    results = _parallel_map(task, items, threads)
-    per_m = {m: [r for (mm, _), r in zip(items, results) if mm == m] for m in ms}
+    grid = _run_grid(specs, algorithms, [gamma], trials, threads, budget=lambda s: None, solve=solve)
     cells = []
     for alg in algorithms:
-        for m in ms:
-            n, k = sizes[m]
-            entries = [r[alg] for r in per_m[m]]
+        for spec, results in zip(specs, grid):
+            entries = results[alg, gamma]
             outcomes = [e[0] for e in entries]
             recovered = [o for o in outcomes if o.success]
             stats = {
@@ -452,7 +440,8 @@ def scaling_benchmark(
                 "mean_runtime": sum(e[1] for e in entries) / len(entries),
                 "median3_runtime": sum(e[2] for e in entries) / len(entries),
             }
-            cells.append(SweepCell(coords={"algorithm": alg, "m": m, "n": n, "k": k}, stats=stats))
+            coords = {"algorithm": alg, "m": spec.m, "n": spec.n, "k": spec.k}
+            cells.append(SweepCell(coords=coords, stats=stats))
     return SweepResult(
         name="scaling",
         axes=["algorithm", "m", "n", "k"],

@@ -416,18 +416,10 @@ def verify_recovery_bound(
     support_cap = (c - 2) * k
 
     margins = []
-    state = algorithms.initial_state(A, y)
-    zero_scale = np.abs(A.T @ y).max() if y.any() else 0.0
-    while state.p <= c * k + 4:
-        if np.abs(state.r).max() <= algorithms.ZERO_RESIDUAL_RTOL * zero_scale:
-            break
-        try:
-            if algorithm == "domp":
-                state = algorithms.domp_step(state, A, y, k, gamma)
-            else:
-                state = algorithms.edomp_step(state, A, y, k, gamma)
-        except algorithms.ZeroResidualError:
-            break
+    config = algorithms.AlgorithmConfig(algorithm, k, gamma=gamma, max_iterations=c * k + 5)
+    states = algorithms.iterate(A, y, config)
+    next(states)  # the zero iterate
+    for state in states:
         if state.support.size > support_cap:
             break
         with np.errstate(over="ignore"):
@@ -495,13 +487,12 @@ def projection_proximity_suite(
         x[true_support] = rng.standard_normal(k)
         y = A @ x
         steps = 1 + trial % max(k - 1, 1)
-        state = algorithms.initial_state(A, y)
-        scale = np.abs(A.T @ y).max()
-        for _ in range(steps):
-            if np.abs(state.r).max() <= 1e-12 * scale:
-                break
-            state = algorithms.domp_step(state, A, y, k, gamma)
-        if np.abs(state.r).max() <= 1e-12 * scale:
+        config = algorithms.AlgorithmConfig(
+            "domp", k, gamma=gamma, max_iterations=steps, tolerance=1e-12
+        )
+        for state in algorithms.iterate(A, y, config):
+            pass
+        if np.abs(state.r).max() <= 1e-12 * np.abs(A.T @ y).max():
             state = algorithms.initial_state(A, y)
         selected = algorithms.select_dynamic_indices(state.r, k, gamma)
         sigma = sigma_scale * linalg.spectral_norm(A) ** 2
@@ -596,7 +587,8 @@ def _threshold_inequality_trial(rng):
     s_star = (a1 * a3 + math.sqrt(disc)) / (1.0 - a1 * a1)
     t_star = math.sqrt(max(s_star * s_star - a2 * a2, 0.0))
     t = float(rng.uniform(0.0, 1.0)) * t_star
-    assert t <= a1 * math.sqrt(t * t + a2 * a2) + a3 + 1e-12
+    if t > a1 * math.sqrt(t * t + a2 * a2) + a3 + 1e-12:
+        raise RuntimeError(f"sampled tuple misses the premise: t={t}, a=({a1}, {a2}, {a3})")
     root = math.sqrt(1.0 - a1 * a1)
     bound_t = a1 * a2 / root + a3 / (1.0 - a1)
     bound_s = a2 / root + a3 / (1.0 - a1)

@@ -5,18 +5,16 @@ import pytest
 
 from dompkit import linalg
 from dompkit.algorithms import (
+    ALGORITHMS,
     AlgorithmConfig,
     StoppingRule,
     ZeroResidualError,
-    cosamp_run,
     domp_step,
     edomp_step,
-    gomp_run,
     initial_state,
     omp_step,
     run,
     select_dynamic_indices,
-    sp_run,
 )
 
 
@@ -214,7 +212,7 @@ def test_gomp_n1_matches_omp():
     rng = np.random.default_rng(5)
     A, x, y = random_sparse_problem(rng, 30, 90, 5)
     omp = run(A, y, AlgorithmConfig("omp", k=5), truth=x)
-    gomp = gomp_run(A, y, AlgorithmConfig("gomp", k=5, n_select=1), truth=x)
+    gomp = run(A, y, AlgorithmConfig("gomp", k=5, n_select=1), truth=x)
     assert [t.support_size for t in omp.trace] == [t.support_size for t in gomp.trace]
     assert np.allclose(omp.x, gomp.x)
 
@@ -223,7 +221,7 @@ def test_gomp_identity_two_iterations():
     A = np.eye(8)
     x = np.zeros(8)
     x[[0, 2, 5, 7]] = [1.0, -2.0, 0.5, 3.0]
-    report = gomp_run(A, x, AlgorithmConfig("gomp", k=4, n_select=3), truth=x)
+    report = run(A, x, AlgorithmConfig("gomp", k=4, n_select=3), truth=x)
     assert report.iterations <= 2
     assert report.success
 
@@ -253,14 +251,14 @@ def test_cosamp_identity_single_iteration():
     A = np.eye(6)
     x = np.zeros(6)
     x[[1, 4]] = [2.0, -1.0]
-    report = cosamp_run(A, x, AlgorithmConfig("cosamp", k=2), truth=x)
+    report = run(A, x, AlgorithmConfig("cosamp", k=2), truth=x)
     assert report.iterations == 1
     assert report.success
 
 
 def test_cosamp_zero_measurements():
     A = np.eye(5)
-    report = cosamp_run(A, np.zeros(5), AlgorithmConfig("cosamp", k=2))
+    report = run(A, np.zeros(5), AlgorithmConfig("cosamp", k=2))
     assert report.iterations == 0
     assert report.termination == "global-optimum"
     assert not report.x.any()
@@ -272,7 +270,7 @@ def test_cosamp_monte_carlo_success_rate():
         rng = np.random.default_rng(6000 + trial)
         A, x, y = random_sparse_problem(rng, 100, 400, 10, scale=True)
         rule = StoppingRule.relative_error(1e-5, x)
-        hits += bool(cosamp_run(A, y, AlgorithmConfig("cosamp", k=10, stopping=rule)).success)
+        hits += bool(run(A, y, AlgorithmConfig("cosamp", k=10, stopping=rule)).success)
     assert hits >= 90
 
 
@@ -280,7 +278,7 @@ def test_sp_identity_single_iteration():
     A = np.eye(6)
     x = np.zeros(6)
     x[[0, 3]] = [1.5, 2.5]
-    report = sp_run(A, x, AlgorithmConfig("sp", k=2), truth=x)
+    report = run(A, x, AlgorithmConfig("sp", k=2), truth=x)
     assert report.iterations == 1
     assert report.success
 
@@ -291,7 +289,7 @@ def test_sp_monte_carlo_success_rate():
         rng = np.random.default_rng(7000 + trial)
         A, x, y = random_sparse_problem(rng, 100, 400, 10, scale=True)
         rule = StoppingRule.relative_error(1e-5, x)
-        hits += bool(sp_run(A, y, AlgorithmConfig("sp", k=10, stopping=rule)).success)
+        hits += bool(run(A, y, AlgorithmConfig("sp", k=10, stopping=rule)).success)
     assert hits >= 90
 
 
@@ -300,7 +298,7 @@ def test_sp_trace_residuals_strictly_decrease():
     for trial in range(30):
         rng = np.random.default_rng(8000 + trial)
         A, x, y = random_sparse_problem(rng, 20, 80, 9)
-        report = sp_run(A, y, AlgorithmConfig("sp", k=9, max_iterations=50), truth=x)
+        report = run(A, y, AlgorithmConfig("sp", k=9, max_iterations=50), truth=x)
         residuals = [t.residual_norm for t in report.trace]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
         if report.termination == "residual-increase":
@@ -353,6 +351,23 @@ def test_run_warns_when_k_not_below_m():
     y = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.warns(RuntimeWarning):
         run(A, y, AlgorithmConfig("omp", k=4))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("defect", ["inf-in-A", "nan-in-y", "k-above-n"])
+def test_run_rejects_invalid_input(algorithm, defect):
+    rng = np.random.default_rng(16)
+    A, x, y = random_sparse_problem(rng, 20, 50, 5)
+    k = 5
+    if defect == "inf-in-A":
+        A[3, 7] = np.inf
+    elif defect == "nan-in-y":
+        y[2] = np.nan
+    else:
+        A = A[:, :4]
+    config = AlgorithmConfig(algorithm, k, n_select=2 if algorithm == "gomp" else None)
+    with pytest.raises(ValueError):
+        run(A, y, config)
 
 
 def test_config_validation():

@@ -277,3 +277,43 @@ def test_extending_trial_count_preserves_earlier_outcomes():
         longer.cell(algorithm="domp", k=10).stats["successes"]
         == short.cell(algorithm="domp", k=10).stats["successes"] + extra
     )
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.001])
+def test_iteration_sweep_scores_every_budget_off_one_run(noise, monkeypatch):
+    # reference: one run_trial per budget, the sweep's meaning; budgets
+    # 1, k-1, k and 2k, all six solvers, noiseless and noisy
+    from dompkit import algorithms
+    from dompkit.bench import SweepCell, SweepResult
+
+    spec = EnsembleSpec(m=30, n=90, k=6, master_seed=19, noise_amplitude=noise)
+    budgets, ks, trials = [1, 5, 6, 12], [6], 4
+    engine = algorithms.iterate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].algorithm)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "iterate", counted)
+    swept = iteration_sweep(spec, budgets, ks, algorithms.ALGORITHMS, trials)
+    assert len(calls) == len(ks) * trials * len(algorithms.ALGORITHMS)
+    monkeypatch.undo()
+
+    problems = [generate_problem(spec, t) for t in range(trials)]
+    cells = []
+    for alg in algorithms.ALGORITHMS:
+        for b in budgets:
+            outcomes = [
+                run_trial(A, y, x, alg, 6, 0.9, b, crc_threshold(noise)) for A, x, y in problems
+            ]
+            successes = sum(o.success for o in outcomes)
+            stats = {
+                "trials": trials,
+                "successes": successes,
+                "success_rate": successes / trials,
+                "mean_iterations": sum(o.iterations for o in outcomes) / trials,
+            }
+            cells.append(SweepCell(coords={"algorithm": alg, "budget": b, "k": 6}, stats=stats))
+    reference = SweepResult("phase-iters", swept.axes, swept.stat_columns, cells)
+    assert swept.to_csv() == reference.to_csv()

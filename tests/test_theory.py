@@ -286,3 +286,17 @@ def test_summary_json_roundtrip():
     assert payload["instances"] == 3
     assert payload["violations"] == 0
     assert "seed" in payload and "parameters" in payload
+
+
+def test_threshold_inequality_premise_failure_raises():
+    # a sampler bug (here a "uniform" draw above 1) must raise, not be
+    # scored as a violation, and must not depend on assert statements
+    class StubRng:
+        def __init__(self):
+            self.draws = iter([0.5, 1.0, 1.0, 1.5])
+
+        def uniform(self, low, high):
+            return next(self.draws)
+
+    with pytest.raises(RuntimeError):
+        theory._threshold_inequality_trial(StubRng())
