@@ -99,14 +99,12 @@ def select_dynamic_indices(r, k, gamma):
     between 1 and k elements.  Raises :class:`ZeroResidualError` for a
     zero residual, which means the current iterate is already optimal.
     """
-    r = np.asarray(r, dtype=float)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    rmax = np.abs(r).max() if r.size else 0.0
-    if rmax == 0.0:
-        raise ZeroResidualError("gradient residual is zero")
-    top = linalg.top_q_indices(r, min(int(k), r.size))
-    return top[np.abs(r[top]) >= gamma * rmax]
+    top = _top_nonzero(r, k)
+    # top holds an index of max|r|, so its largest magnitude is max|r|.
+    magnitudes = np.abs(np.asarray(r, dtype=float)[top])
+    return top[magnitudes >= gamma * magnitudes.max()]
 
 
 def _next_state(A, y, previous, x, support, selected, solver=None):
@@ -131,7 +129,7 @@ def _project(A, y, state, new_support, selected):
         solver = state.solver.extended(new_support[~np.isin(new_support, state.support)])
     x = solver.solve()
     if x is None:
-        x = linalg.restricted_least_squares(A, y, new_support)
+        x = linalg._restricted_ls(A, y, new_support)
     return _next_state(A, y, state, x, new_support, selected, solver)
 
 
@@ -152,10 +150,11 @@ def gomp_step(state, A, y, n_select):
 
 
 def _top_nonzero(r, q):
+    """The ``q`` largest-magnitude indices of ``r``; ZeroResidualError if r = 0."""
     r = np.asarray(r, dtype=float)
     if not r.size or np.abs(r).max() == 0.0:
         raise ZeroResidualError("gradient residual is zero")
-    return linalg.top_q_indices(r, min(q, r.size))
+    return linalg.top_q_indices(r, min(int(q), r.size))
 
 
 def domp_step(state, A, y, k, gamma):
@@ -180,7 +179,7 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
         return _project(A, y, state, grown, theta.size)
     tentative = _project(A, y, state, grown, theta.size)
     keep = linalg.top_q_indices(tentative.x, k)
-    x = linalg.restricted_least_squares(A, y, keep)
+    x = linalg._restricted_ls(A, y, keep)
     if reset_support:
         return _next_state(A, y, state, x, np.flatnonzero(x), theta.size)
     return _next_state(A, y, state, x, grown, theta.size, tentative.solver)
@@ -192,7 +191,7 @@ def cosamp_step(state, A, y, k):
     entries of the solution without re-solving."""
     proxy = linalg.top_q_indices(state.r, min(2 * k, A.shape[1]))
     merged = np.union1d(proxy, np.flatnonzero(state.x)).astype(np.int64)
-    x = linalg.hard_threshold(linalg.restricted_least_squares(A, y, merged), k)
+    x = linalg.hard_threshold(linalg._restricted_ls(A, y, merged), k)
     return _next_state(A, y, state, x, np.flatnonzero(x), int(proxy.size))
 
 
@@ -201,8 +200,8 @@ def sp_step(state, A, y, k):
     least squares on the union, keep its top-k entries, re-project on them."""
     proxy = linalg.top_q_indices(state.r, k)
     merged = np.union1d(proxy, state.support).astype(np.int64)
-    keep = linalg.top_q_indices(linalg.restricted_least_squares(A, y, merged), k)
-    x = linalg.restricted_least_squares(A, y, keep)
+    keep = linalg.top_q_indices(linalg._restricted_ls(A, y, merged), k)
+    x = linalg._restricted_ls(A, y, keep)
     return _next_state(A, y, state, x, np.sort(keep), int(proxy.size))
 
 
@@ -222,8 +221,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon}")
         if self.kind == "max-iterations" and (self.iterations is None or self.iterations < 0):
             raise ValueError("max-iterations rule needs a nonnegative iteration count")
         if self.kind == "relative-error" and self.truth is None:
@@ -291,7 +290,7 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}")
         if self.k < 1:
             raise ValueError(f"sparsity k must be at least 1, got {self.k}")
         if not 0.0 < self.gamma <= 1.0:

@@ -60,8 +60,8 @@ class EnsembleSpec:
             raise ValueError("m, n and k must be positive")
         if self.scaling not in SCALING_MODES:
             raise ValueError(f"scaling must be one of {SCALING_MODES}, got {self.scaling!r}")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise amplitude must be nonnegative")
+        if not (np.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
+            raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
         if self.master_seed < 0:
             raise ValueError("master seed must be nonnegative")
         if not self.k <= self.m <= self.n:
@@ -115,25 +115,23 @@ class TrialOutcome:
     wall_time: float
 
 
-def _algorithm_config(algorithm, k, gamma, budget, truth, threshold):
-    kwargs = {}
-    if algorithm == "gomp":
-        if k < 2:
-            raise ValueError("gOMP needs k >= 2 to choose 1 <= N < k")
-        kwargs["n_select"] = min(2, k - 1)
+def _algorithm_config(algorithm, k, gamma, budget, stopping=None):
+    """The solver configuration of one grid cell; gOMP adds min(2, k-1)
+    indices per iteration."""
     return AlgorithmConfig(
         algorithm,
         k=k,
         gamma=gamma,
-        stopping=StoppingRule.relative_error(threshold, truth),
+        n_select=min(2, k - 1) if algorithm == "gomp" else None,
+        stopping=stopping,
         max_iterations=budget,
-        **kwargs,
     )
 
 
 def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
     """Run one recovery and score it against the target."""
-    config = _algorithm_config(algorithm, k, gamma, budget, truth, threshold)
+    stopping = StoppingRule.relative_error(threshold, truth)
+    config = _algorithm_config(algorithm, k, gamma, budget, stopping)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = run(A, y, config, success_threshold=threshold)
@@ -226,10 +224,15 @@ def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
     each (algorithm, gamma) runs once per trial with ``budget(spec)``
     iterations (None: the solver's default).  ``solve`` replaces
     :func:`run_trial` and may return anything.  Returns one dict per
-    spec, mapping (algorithm, gamma) to the per-trial results.
+    spec, mapping (algorithm, gamma) to the per-trial results.  Every
+    cell's configuration is built before the first problem is drawn, so
+    an invalid grid raises ValueError without doing any work.
     """
     keys = [(alg, g) for alg in algorithms for g in gammas]
     items = [(spec, t) for spec in specs for t in range(trials)]
+    for spec in specs:
+        for alg, g in keys:
+            _algorithm_config(alg, spec.k, g, budget(spec))
 
     def task(item):
         spec, t = item

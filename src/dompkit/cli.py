@@ -5,15 +5,18 @@ sweeps (`phase-gamma`, `phase-iters`, `phase-k`, `scaling`), exact RIC
 certification (`ric`), and the verification suites (`verify`).
 
 Data goes to stdout (JSON or CSV), diagnostics to stderr.  Exit codes:
-0 success, 1 verification violations, 2 usage errors, 3 data errors
-(unreadable or inconsistent files), 4 numeric failures.  Sweep commands
-require an explicit --seed; there is no hidden entropy.  Estimates in
-JSON use 1-based index:value pairs.
+0 success, 1 verification violations, 2 usage errors (including any flag
+value the library rejects), 3 data errors (unreadable or malformed
+files), 4 numeric failures.  Flags are checked by the library objects
+that consume them; this module only parses them.  Sweep commands require
+an explicit --seed; there is no hidden entropy.  Estimates in JSON use
+1-based index:value pairs.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,13 +59,6 @@ def _nonnegative_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def _nonnegative_float(text):
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
     return value
 
 
@@ -109,7 +105,7 @@ def build_parser():
         if name != "scaling":
             sw.add_argument("--m", type=_positive_int, default=None)
             sw.add_argument("--n", type=_positive_int, default=None)
-            sw.add_argument("--noise", type=_nonnegative_float, default=0.0,
+            sw.add_argument("--noise", type=float, default=0.0,
                             help="additive gaussian amplitude; switches to the noisy criterion")
             sw.add_argument("--k-levels", default=None, help="comma-separated sparsity levels")
         if name == "phase-gamma":
@@ -140,7 +136,7 @@ def build_parser():
     ver.add_argument("--k", type=_positive_int, default=None)
     ver.add_argument("--c", type=_positive_int, default=None)
     ver.add_argument("--gamma", type=float, default=0.9)
-    ver.add_argument("--noise", type=_nonnegative_float, default=0.0)
+    ver.add_argument("--noise", type=float, default=0.0)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=_cmd_verify)
 
@@ -201,16 +197,12 @@ def _sparse_estimate(x):
 
 
 def _cmd_recover(args):
-    if args.algo not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {args.algo!r}; choose from {', '.join(ALGORITHMS)}")
-    if not 0.0 < args.gamma <= 1.0:
-        raise UsageError(f"gamma must lie in (0, 1], got {args.gamma}")
+    # Flags are checked before any file is read: a bad flag beats a bad file.
+    n_select = None
     if args.algo == "gomp":
         n_select = args.gomp_n if args.gomp_n is not None else min(2, args.sparsity - 1)
-        if not 1 <= n_select < args.sparsity:
-            raise UsageError(f"gOMP needs 1 <= N < k, got N={n_select}, k={args.sparsity}")
-    else:
-        n_select = None
+    config = AlgorithmConfig(args.algo, k=args.sparsity, gamma=args.gamma, n_select=n_select,
+                             reset_support=args.reset_support)
     stop_parsed = _check_stop_syntax(args.stop, args.truth is not None)
 
     A = linalg.load_matrix(args.matrix)
@@ -227,14 +219,7 @@ def _cmd_recover(args):
                 args.truth, 1, f"truth length {truth.size} does not match {A.shape[1]} columns"
             )
 
-    config = AlgorithmConfig(
-        args.algo,
-        k=args.sparsity,
-        gamma=args.gamma,
-        n_select=n_select,
-        stopping=_build_stop(stop_parsed, truth),
-        reset_support=args.reset_support,
-    )
+    config = replace(config, stopping=_build_stop(stop_parsed, truth))
     report = run(A, y, config, truth=truth)
     payload = {
         "algorithm": report.algorithm,
@@ -281,9 +266,6 @@ def _split_algos(text, default):
     algos = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not algos:
         raise UsageError("--algos expects at least one algorithm")
-    for alg in algos:
-        if alg not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
     return algos
 
 
@@ -297,16 +279,9 @@ def _sweep_sizes(args, desk_mn, full_mn):
     return m, n
 
 
-def _check_gomp_room(algos, ks):
-    if "gomp" in algos and any(k < 2 for k in ks):
-        raise UsageError("gOMP needs sparsity levels of at least 2 (1 <= N < k)")
-
-
 def _cmd_sweep(args):
     if args.seed is None:
         raise UsageError("sweep commands require an explicit --seed; there is no hidden entropy")
-    if not 0.0 < args.gamma <= 1.0:
-        raise UsageError(f"gamma must lie in (0, 1], got {args.gamma}")
     preset = args.preset or DESK
     name = args.sweep
 
@@ -318,7 +293,6 @@ def _cmd_sweep(args):
         )
         trials = args.trials if args.trials is not None else (10 if preset == DESK else 50)
         algos = _split_algos(args.algos, ("omp", "domp", "edomp", "cosamp", "sp"))
-        _check_gomp_room(algos, [max(1, round(0.3 * m)) for m in sizes])
         result = bench.scaling_benchmark(
             sizes,
             algos,
@@ -337,9 +311,6 @@ def _cmd_sweep(args):
                 if args.gammas is not None
                 else [t / 20 for t in range(1, 21)]
             )
-            for g in gammas:
-                if not 0.0 < g <= 1.0:
-                    raise UsageError(f"gamma values must lie in (0, 1], got {g}")
             ks = (
                 _csv_ints(args.k_levels, "--k-levels")
                 if args.k_levels is not None
@@ -347,7 +318,6 @@ def _cmd_sweep(args):
             )
             trials = args.trials if args.trials is not None else (50 if preset == DESK else 500)
             algos = _split_algos(args.algos, ("domp", "edomp"))
-            _check_gomp_room(algos, ks)
             spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
             result = bench.gamma_sweep(spec, gammas, ks, algos, trials=trials, threads=args.threads)
         elif name == "phase-iters":
@@ -365,7 +335,6 @@ def _cmd_sweep(args):
             )
             trials = args.trials if args.trials is not None else (50 if preset == DESK else 500)
             algos = _split_algos(args.algos, ("domp", "edomp"))
-            _check_gomp_room(algos, ks)
             spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
             result = bench.iteration_sweep(
                 spec, budgets, ks, algos, trials=trials, gamma=args.gamma, threads=args.threads
@@ -380,7 +349,6 @@ def _cmd_sweep(args):
             )
             trials = args.trials if args.trials is not None else (50 if preset == DESK else 200)
             algos = _split_algos(args.algos, ("omp", "domp", "edomp", "cosamp", "sp"))
-            _check_gomp_room(algos, ks)
             spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
             result = bench.success_curves(
                 spec, ks, algos, trials=trials, gamma=args.gamma, threads=args.threads
@@ -451,23 +419,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    # Exit codes by where the error comes from.  LinAlgError subclasses
+    # ValueError and FileFormatError is one, so their clauses come first;
+    # every other ValueError is the library rejecting a flag value.
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except theory.EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (linalg.FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (linalg.FileFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (ValueError, theory.EnumerationCapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main():

@@ -148,11 +148,15 @@ def restricted_least_squares(A, y, support):
     if A.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, y has length {y.size}")
     _require_finite(A, y)
-    support = _as_support(support, A.shape[1])
+    return _restricted_ls(A, y, _as_support(support, A.shape[1]))
+
+
+def _restricted_ls(A, y, support):
+    """:func:`restricted_least_squares` without its checks: finite float A
+    and y of matching shape, ``support`` sorted, unique and int64."""
     x = np.zeros(A.shape[1])
-    if support.size == 0:
-        return x
-    x[support] = _solve_submatrix_ls(A[:, support], y)
+    if support.size:
+        x[support] = _solve_submatrix_ls(A[:, support], y)
     return x
 
 
@@ -177,7 +181,7 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     if penalized.size and not np.isin(penalized, support).all():
         raise ValueError("penalized indices must be a subset of the support")
     if penalized.size == 0:
-        return restricted_least_squares(A, y, support)
+        return _restricted_ls(A, y, support)
     As = A[:, support]
     positions = np.searchsorted(support, penalized)
     ridge = np.zeros((penalized.size, support.size))

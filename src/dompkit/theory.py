@@ -175,6 +175,13 @@ def edomp_ric_bound(k, gamma):
     return 2.0 / (math.sqrt(4.0 + scaled * scaled) + scaled)
 
 
+def _proximity_constant(norm, sigma):
+    """Ridge proximity constant sqrt(2 ||A|| / sqrt(sigma) + ||A||^2 / sigma)
+    + ||A|| / sqrt(sigma), for ``norm`` = ||A||_2."""
+    root_sigma = math.sqrt(sigma)
+    return math.sqrt(2.0 * norm / root_sigma + norm * norm / sigma) + norm / root_sigma
+
+
 def _geometric_sum(ratio, k):
     # sum_{i=0}^{k-1} ratio^i, with the ratio -> 1 limit handled exactly
     if ratio == 1.0:
@@ -231,8 +238,7 @@ def bound_constants(delta, k, gamma, sigma, matrix_norm, theta):
     geo = _geometric_sum(varrho, k)
     tau = c1 * geo + (c2 / (1.0 - beta) if beta < 1.0 else math.inf)
     norm = float(matrix_norm)
-    root_sigma = math.sqrt(sigma)
-    proximity_constant = math.sqrt(2.0 * norm / root_sigma + norm * norm / sigma) + norm / root_sigma
+    proximity_constant = _proximity_constant(norm, sigma)
     epsilon = float(theta) * proximity_constant / math.sqrt(1.0 - delta)
     inflate = GOLDEN_ETA / one_minus_sq
     beta_star = inflate * beta
@@ -294,13 +300,13 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     n = A.shape[1]
-    support = np.asarray(sorted(set(int(i) for i in support)), dtype=np.int64)
-    selected = np.asarray(sorted(set(int(i) for i in selected)), dtype=np.int64)
+    support = linalg._as_support(support, n)
+    selected = linalg._as_support(selected, n, name="selected")
     x_current = linalg.restricted_least_squares(A, y, support)
     r = linalg.residual_gradient(A, y, x_current)
     grown = np.union1d(support, selected).astype(np.int64)
     top = linalg.top_q_indices(r, min(int(k), n))
-    excluded = np.union1d(grown, np.asarray(sorted(set(int(i) for i in true_support)), dtype=np.int64))
+    excluded = np.union1d(grown, linalg._as_support(true_support, n, name="true_support"))
     penalized = np.setdiff1d(top, excluded)
     enlarged = np.union1d(grown, penalized).astype(np.int64)
 
@@ -308,14 +314,12 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     x_ridge = linalg.penalized_restricted_ls(A, y, enlarged, penalized, sigma)
 
     theta = theta_constant(A, y)
-    norm = linalg.spectral_norm(A)
-    root_sigma = math.sqrt(sigma)
-    proximity_constant = math.sqrt(2.0 * norm / root_sigma + norm * norm / sigma) + norm / root_sigma
+    proximity_constant = _proximity_constant(linalg.spectral_norm(A), sigma)
 
     lhs = float(np.linalg.norm(A @ (x_ridge - x_exact)))
     rhs = proximity_constant * theta
     penalized_norm = float(np.linalg.norm(x_ridge[penalized])) if penalized.size else 0.0
-    penalized_bound = theta / root_sigma
+    penalized_bound = theta / math.sqrt(sigma)
     projection_residual = float(np.linalg.norm(y - A @ x_exact))
 
     passed = (
@@ -467,6 +471,11 @@ def _trial_rng(seed, trial):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
+def _check_sparsity(k, n):
+    if not 1 <= k <= n:
+        raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
+
+
 def projection_proximity_suite(
     trials,
     seed,
@@ -477,6 +486,7 @@ def projection_proximity_suite(
     sigma_scale=1e8,
 ):
     """Randomized proximity verification across partially-run recoveries."""
+    _check_sparsity(k, n)
     violations = 0
     min_slack = None
     for trial in range(int(trials)):
@@ -534,6 +544,9 @@ def recovery_bound_suite(
     Matrices are Gaussian scaled by 1/sqrt(m); instances whose exact RIC
     misses the closed-form gate count as inconclusive.
     """
+    _check_sparsity(k, n)
+    if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
+        raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
     violations = 0
     inconclusive = 0
     min_slack = None

@@ -75,6 +75,9 @@ def test_ensemble_spec_validation():
         EnsembleSpec(m=5, n=5, k=1, master_seed=1, scaling="weird")
     with pytest.raises(ValueError):
         EnsembleSpec(m=5, n=5, k=1, master_seed=1, noise_amplitude=-0.1)
+    for amplitude in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec(m=5, n=5, k=1, master_seed=1, noise_amplitude=amplitude)
     with pytest.warns(RuntimeWarning):
         EnsembleSpec(m=5, n=3, k=1, master_seed=1)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dompkit import bench, linalg
+from dompkit import bench, linalg, theory
 from dompkit.cli import main
 
 
@@ -333,3 +333,65 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["estimate"] == {"2": 2.0}
+
+
+@pytest.fixture
+def exit_code_files(tmp_path):
+    eye = tmp_path / "eye.txt"
+    linalg.save_matrix(eye, np.eye(4))
+    y = tmp_path / "y.txt"
+    linalg.save_vector(y, np.array([0.0, 1.0, 0.0, 0.0]))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 4\n1 0 0 0\n0 1 x 0\n")
+    return {"eye": str(eye), "y": str(y), "bad": str(bad), "missing": str(tmp_path / "none.txt")}
+
+
+TINY_SWEEP = ["--seed", "1", "--trials", "1", "--m", "10", "--n", "20", "--k-levels", "2"]
+RECOVER = ["recover", "--measurements", "{y}", "--algo", "omp"]
+
+
+@pytest.mark.parametrize(
+    "code,argv",
+    [
+        # a flag value the library rejects is a usage error
+        (2, ["verify", "--suite", "bound-domp", "--trials", "1", "--seed", "1", "--gamma", "1.5"]),
+        (2, ["verify", "--suite", "bound-domp", "--trials", "1", "--seed", "1", "--c", "2"]),
+        (2, ["verify", "--suite", "proximity", "--trials", "1", "--seed", "1", "--k", "40"]),
+        (2, ["phase-gamma", *TINY_SWEEP, "--gammas", "0"]),
+        (2, ["phase-k", *TINY_SWEEP, "--algos", "bogus"]),
+        (2, ["phase-k", *TINY_SWEEP, "--noise", "nan"]),
+        (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "5"]),
+        (2, ["ric", "--matrix", "{eye}", "--order", "5"]),
+        (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--stop", "residual:nan"]),
+        # a bad flag is reported before a bad file
+        (2, [*RECOVER, "--matrix", "{missing}", "--sparsity", "1", "--gamma", "0"]),
+        # unreadable or malformed files are data errors
+        (3, [*RECOVER, "--matrix", "{missing}", "--sparsity", "1"]),
+        (3, [*RECOVER, "--matrix", "{bad}", "--sparsity", "1"]),
+    ],
+)
+def test_exit_code_table(exit_code_files, capsys, code, argv):
+    assert main([arg.format(**exit_code_files) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_bad_sweep_grid_fails_before_any_problem(monkeypatch, capsys):
+    drawn = []
+    generate = bench.generate_problem
+    monkeypatch.setattr(bench, "generate_problem", lambda *a: drawn.append(a) or generate(*a))
+    code = main(["phase-k", "--seed", "4", "--trials", "2", "--m", "20", "--n", "80",
+                 "--k-levels", "4,1", "--algos", "domp,gomp"])
+    assert code == 2
+    assert "gOMP" in capsys.readouterr().err
+    assert drawn == []
+
+
+def test_numeric_failure_exits_four(monkeypatch, capsys):
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(theory, "theta_constant", singular)
+    assert main(["verify", "--suite", "theta", "--trials", "1", "--seed", "1"]) == 4
+    assert "numeric failure" in capsys.readouterr().err

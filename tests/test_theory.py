@@ -300,3 +300,17 @@ def test_threshold_inequality_premise_failure_raises():
 
     with pytest.raises(RuntimeError):
         theory._threshold_inequality_trial(StubRng())
+
+
+@pytest.mark.parametrize("suite", [theory.projection_proximity_suite, theory.recovery_bound_suite])
+def test_suites_check_sparsity_before_trial_zero(monkeypatch, suite):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match="k=40.*n=30"):
+        suite(1, 0, m=15, n=30, k=40)
+    with pytest.raises(ValueError, match="k=0"):
+        suite(1, 0, m=15, n=30, k=0)
+
+
+def test_recovery_bound_suite_rejects_nonfinite_noise():
+    with pytest.raises(ValueError, match="finite"):
+        theory.recovery_bound_suite(1, 0, noise_amplitude=float("nan"))
