@@ -132,9 +132,7 @@ def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
     """Run one recovery and score it against the target."""
     stopping = StoppingRule.relative_error(threshold, truth)
     config = _algorithm_config(algorithm, k, gamma, budget, stopping)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = run(A, y, config, success_threshold=threshold)
+    report = run(A, y, config, success_threshold=threshold)
     support_match = bool(
         np.array_equal(top_q_indices(report.x, k), top_q_indices(truth, k))
     )
@@ -241,7 +239,12 @@ def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
         fn = run_trial if solve is None else solve
         return [fn(A, y, x, alg, spec.k, g, budget(spec), threshold) for alg, g in keys]
 
-    results = _parallel_map(task, items, threads)
+    # The filter list is process-wide, so it is set once here, around the
+    # pool, and not inside the tasks, whose exits would restore each
+    # other's state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        results = _parallel_map(task, items, threads)
     return [
         {key: [r[j] for r in results[i * trials:(i + 1) * trials]] for j, key in enumerate(keys)}
         for i in range(len(specs))

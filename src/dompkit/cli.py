@@ -34,14 +34,20 @@ EXIT_NUMERIC = 4
 DESK = "desk"
 FULL_SCALE = "full"
 
-VERIFY_SUITES = (
-    "proximity",
-    "aux-inequalities",
-    "bound-domp",
-    "bound-edomp",
-    "theta",
-    "ric-monotone",
-)
+_BOUND_FLAGS = ("m", "n", "k", "c", "gamma", "noise_amplitude")
+
+# Each verify suite: the theory function that runs it (looked up by name
+# at call time, so a wrapper bound onto the module is the one called), the
+# flags it takes, named as its keywords, and its fixed keywords.  Flags a
+# suite does not take are ignored; a flag left out keeps the default.
+VERIFY_SUITES = {
+    "proximity": ("projection_proximity_suite", ("m", "n", "k", "gamma"), {}),
+    "aux-inequalities": ("auxiliary_inequality_suite", (), {}),
+    "bound-domp": ("recovery_bound_suite", _BOUND_FLAGS, {"algorithm": "domp"}),
+    "bound-edomp": ("recovery_bound_suite", _BOUND_FLAGS, {"algorithm": "edomp"}),
+    "theta": ("theta_equivalence_suite", (), {}),
+    "ric-monotone": ("ric_monotonicity_suite", (), {}),
+}
 
 
 class UsageError(ValueError):
@@ -135,8 +141,8 @@ def build_parser():
     ver.add_argument("--n", type=_positive_int, default=None)
     ver.add_argument("--k", type=_positive_int, default=None)
     ver.add_argument("--c", type=_positive_int, default=None)
-    ver.add_argument("--gamma", type=float, default=0.9)
-    ver.add_argument("--noise", type=float, default=0.0)
+    ver.add_argument("--gamma", type=float, default=None)
+    ver.add_argument("--noise", dest="noise_amplitude", metavar="NOISE", type=float, default=None)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=_cmd_verify)
 
@@ -382,33 +388,9 @@ def _cmd_ric(args):
 
 
 def _cmd_verify(args):
-    kwargs = {}
-    if args.suite == "proximity":
-        for flag, key in (("m", "m"), ("n", "n"), ("k", "k")):
-            value = getattr(args, flag)
-            if value is not None:
-                kwargs[key] = value
-        kwargs["gamma"] = args.gamma
-        summary = theory.projection_proximity_suite(args.trials, args.seed, **kwargs)
-    elif args.suite in ("bound-domp", "bound-edomp"):
-        defaults = {"m": 8, "n": 12, "k": 1, "c": 3}
-        for flag in defaults:
-            value = getattr(args, flag)
-            kwargs[flag] = value if value is not None else defaults[flag]
-        summary = theory.recovery_bound_suite(
-            args.trials,
-            args.seed,
-            gamma=args.gamma,
-            algorithm=args.suite.split("-", 1)[1],
-            noise_amplitude=args.noise,
-            **kwargs,
-        )
-    elif args.suite == "aux-inequalities":
-        summary = theory.auxiliary_inequality_suite(args.trials, args.seed)
-    elif args.suite == "theta":
-        summary = theory.theta_equivalence_suite(args.trials, args.seed)
-    else:
-        summary = theory.ric_monotonicity_suite(args.trials, args.seed)
+    name, flags, fixed = VERIFY_SUITES[args.suite]
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    summary = getattr(theory, name)(args.trials, args.seed, **fixed, **given)
     _emit(summary.to_json(indent=2) + "\n", args.output)
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATIONS
 

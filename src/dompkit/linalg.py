@@ -258,22 +258,16 @@ class IncrementalQRSolver:
         self._diag_max = 0.0
         self._diag_min = np.inf
 
-    def _clone(self):
-        other = IncrementalQRSolver.__new__(IncrementalQRSolver)
-        other._A = self._A
-        other._y = self._y
-        other._Q = self._Q.copy()
-        other._R = self._R.copy()
-        other._qty = self._qty.copy()
-        other.columns = list(self.columns)
-        other.degenerate = self.degenerate
-        other._diag_max = self._diag_max
-        other._diag_min = self._diag_min
-        return other
-
     def extended(self, indices):
-        """New solver with ``indices`` appended to the factored support."""
-        new = self._clone()
+        """New solver with ``indices`` appended to the factored support.
+
+        The new solver starts out sharing Q, R and Q^T y with the receiver:
+        appending rebinds those arrays and never writes into them, so only
+        the column list is copied.
+        """
+        new = IncrementalQRSolver.__new__(IncrementalQRSolver)
+        new.__dict__.update(self.__dict__)
+        new.columns = list(self.columns)
         for j in indices:
             new._append(int(j))
         return new

@@ -8,6 +8,11 @@ bound of the ridge-penalized projection, the per-iteration
 reconstruction error bounds, and the auxiliary inequalities those
 bounds rest on.
 
+Every suite is a per-trial function on one driver (``_run_suite``):
+trial t draws ``_trial_rng(seed, t)`` and returns its slacks, a negative
+slack counts as a violation and None as an inconclusive check, and the
+driver builds the :class:`VerificationSummary`.
+
 Everything here is exact or exhaustively enumerated; nothing is fitted.
 Verification failures are reported as data, never raised.
 """
@@ -15,6 +20,7 @@ Verification failures are reported as data, never raised.
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -382,7 +388,8 @@ def verify_recovery_bound(
     noise = np.asarray(noise, dtype=float)
     ric = ric_exact(A, c * k, cap=cap)
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
-    if ric.delta >= limit:
+    if ric.delta >= limit or ric.delta == 0.0:
+        gated = ric.delta >= limit
         return RecoveryBoundCheck(
             algorithm=algorithm,
             applicable=False,
@@ -391,18 +398,8 @@ def verify_recovery_bound(
             eligible_iterations=0,
             margins=(),
             passed=None,
-            note="RIC gate not met; bound not applicable",
-        )
-    if ric.delta == 0.0:
-        return RecoveryBoundCheck(
-            algorithm=algorithm,
-            applicable=False,
-            delta=0.0,
-            delta_limit=limit,
-            eligible_iterations=0,
-            margins=(),
-            passed=None,
-            note="degenerate zero RIC; contraction factor collapses",
+            note="RIC gate not met; bound not applicable" if gated
+            else "degenerate zero RIC; contraction factor collapses",
         )
 
     y = A @ x + noise
@@ -476,6 +473,40 @@ def _check_sparsity(k, n):
         raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
 
 
+def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
+    """Run every trial of a verification suite and summarize its slacks.
+
+    Trial t draws its own stream ``_trial_rng(seed, t)`` and
+    ``trial_slacks(rng, t)`` returns that trial's slacks: a negative slack
+    is a violation, None an inconclusive check.  When ``families`` names
+    the slacks of a trial by position, ``parameters`` also gets the
+    violations counted per family.
+    """
+    failed = Counter()  # violations per slack position
+    inconclusive = 0
+    min_slack = None
+    for trial in range(int(trials)):
+        for position, slack in enumerate(trial_slacks(_trial_rng(seed, trial), trial)):
+            if slack is None:
+                inconclusive += 1
+                continue
+            if slack < 0:
+                failed[position] += 1
+            min_slack = slack if min_slack is None else min(min_slack, slack)
+    if families:
+        per_family = {name: failed[i] for i, name in enumerate(families)}
+        parameters = {**parameters, "per_family_violations": per_family}
+    return VerificationSummary(
+        suite=suite,
+        instances=int(trials),
+        violations=sum(failed.values()),
+        inconclusive=inconclusive,
+        min_slack=min_slack,
+        parameters=parameters,
+        seed=int(seed),
+    )
+
+
 def projection_proximity_suite(
     trials,
     seed,
@@ -485,12 +516,14 @@ def projection_proximity_suite(
     gamma=0.9,
     sigma_scale=1e8,
 ):
-    """Randomized proximity verification across partially-run recoveries."""
+    """Randomized proximity verification across partially-run recoveries.
+
+    One slack per trial: the smallest of the proximity bound's slack and
+    the two side bounds' slacks.
+    """
     _check_sparsity(k, n)
-    violations = 0
-    min_slack = None
-    for trial in range(int(trials)):
-        rng = _trial_rng(seed, trial)
+
+    def trial_slacks(rng, trial):
         A = rng.standard_normal((m, n))
         true_support = rng.choice(n, size=k, replace=False)
         x = np.zeros(n)
@@ -509,21 +542,15 @@ def projection_proximity_suite(
         check = verify_projection_proximity(
             A, y, state.support, selected, k, sigma, true_support=true_support
         )
-        slack = min(
+        return [min(
             check.slack,
             check.penalized_bound - check.penalized_norm,
             check.theta - check.projection_residual,
-        )
-        min_slack = slack if min_slack is None else min(min_slack, slack)
-        violations += 0 if check.passed else 1
-    return VerificationSummary(
-        suite="proximity",
-        instances=int(trials),
-        violations=violations,
-        inconclusive=0,
-        min_slack=min_slack,
-        parameters={"m": m, "n": n, "k": k, "gamma": gamma, "sigma_scale": sigma_scale},
-        seed=int(seed),
+        )]
+
+    return _run_suite(
+        "proximity", trials, seed, trial_slacks,
+        {"m": m, "n": n, "k": k, "gamma": gamma, "sigma_scale": sigma_scale},
     )
 
 
@@ -542,16 +569,15 @@ def recovery_bound_suite(
     """Randomized reconstruction-bound verification on a gated ensemble.
 
     Matrices are Gaussian scaled by 1/sqrt(m); instances whose exact RIC
-    misses the closed-form gate count as inconclusive.
+    misses the closed-form gate count as inconclusive.  An applicable
+    instance gives one slack, its smallest per-iteration margin, or none
+    when no iteration is eligible.
     """
     _check_sparsity(k, n)
     if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
-    violations = 0
-    inconclusive = 0
-    min_slack = None
-    for trial in range(int(trials)):
-        rng = _trial_rng(seed, trial)
+
+    def trial_slacks(rng, trial):
         A = rng.standard_normal((m, n)) / np.sqrt(m)
         support = rng.choice(n, size=k, replace=False)
         x = np.zeros(n)
@@ -559,28 +585,12 @@ def recovery_bound_suite(
         noise = noise_amplitude * rng.standard_normal(m)
         check = verify_recovery_bound(A, x, noise, k, gamma, c, algorithm=algorithm, cap=cap)
         if not check.applicable:
-            inconclusive += 1
-            continue
-        if check.margins:
-            slack = min(mg[3] for mg in check.margins)
-            min_slack = slack if min_slack is None else min(min_slack, slack)
-        if not check.passed:
-            violations += 1
-    return VerificationSummary(
-        suite=f"bound-{algorithm}",
-        instances=int(trials),
-        violations=violations,
-        inconclusive=inconclusive,
-        min_slack=min_slack,
-        parameters={
-            "m": m,
-            "n": n,
-            "k": k,
-            "c": c,
-            "gamma": gamma,
-            "noise_amplitude": noise_amplitude,
-        },
-        seed=int(seed),
+            return [None]
+        return [min(mg[3] for mg in check.margins)] if check.margins else []
+
+    return _run_suite(
+        f"bound-{algorithm}", trials, seed, trial_slacks,
+        {"m": m, "n": n, "k": k, "c": c, "gamma": gamma, "noise_amplitude": noise_amplitude},
     )
 
 
@@ -655,85 +665,61 @@ def _projection_error_trial(rng, m=40, n=10, k=2, cap=DEFAULT_ENUMERATION_CAP):
     return rhs - lhs
 
 
+_AUX_FAMILIES = {
+    "threshold-inequality": _threshold_inequality_trial,
+    "thresholding-distance": _thresholding_distance_trial,
+    "projection-error": _projection_error_trial,
+}
+
+
 def auxiliary_inequality_suite(trials, seed):
     """Randomized checks of the three inequalities the error bounds rest
     on: the scalar recursion-merge inequality, the hard-thresholding
-    distance inequality, and the support-projection error bound."""
-    counts = {"threshold-inequality": 0, "thresholding-distance": 0, "projection-error": 0}
-    inconclusive = 0
-    min_slack = None
-    for trial in range(int(trials)):
-        rng = _trial_rng(seed, trial)
-        slacks = {
-            "threshold-inequality": _threshold_inequality_trial(rng),
-            "thresholding-distance": _thresholding_distance_trial(rng),
-            "projection-error": _projection_error_trial(rng),
-        }
-        for name, slack in slacks.items():
-            if slack is None:
-                inconclusive += 1
-                continue
-            if slack < 0:
-                counts[name] += 1
-            min_slack = slack if min_slack is None else min(min_slack, slack)
-    return VerificationSummary(
-        suite="aux-inequalities",
-        instances=int(trials),
-        violations=sum(counts.values()),
-        inconclusive=inconclusive,
-        min_slack=min_slack,
-        parameters={"per_family_violations": counts},
-        seed=int(seed),
-    )
+    distance inequality, and the support-projection error bound.
+
+    One slack per family and trial; a projection-error check whose matrix
+    never meets delta_2k < 1 is inconclusive.
+    """
+
+    def trial_slacks(rng, trial):
+        return [check(rng) for check in _AUX_FAMILIES.values()]
+
+    return _run_suite("aux-inequalities", trials, seed, trial_slacks, {}, families=_AUX_FAMILIES)
 
 
 def theta_equivalence_suite(trials, seed, max_n=10, tolerance=1e-10):
-    """Singleton-maximum theta against the exhaustive all-subsets oracle."""
-    violations = 0
-    min_slack = None
-    for trial in range(int(trials)):
-        rng = _trial_rng(seed, trial)
+    """Singleton-maximum theta against the exhaustive all-subsets oracle.
+
+    One slack per trial: the tolerance minus the gap between the two.
+    """
+
+    def trial_slacks(rng, trial):
         n = int(rng.integers(3, max_n + 1))
         m = int(rng.integers(3, 9))
         A = rng.standard_normal((m, n))
         y = rng.standard_normal(m)
-        gap = abs(theta_constant(A, y) - exhaustive_theta(A, y))
-        slack = tolerance - gap
-        min_slack = slack if min_slack is None else min(min_slack, slack)
-        if gap > tolerance:
-            violations += 1
-    return VerificationSummary(
-        suite="theta",
-        instances=int(trials),
-        violations=violations,
-        inconclusive=0,
-        min_slack=min_slack,
-        parameters={"max_n": max_n, "tolerance": tolerance},
-        seed=int(seed),
+        return [tolerance - abs(theta_constant(A, y) - exhaustive_theta(A, y))]
+
+    return _run_suite(
+        "theta", trials, seed, trial_slacks, {"max_n": max_n, "tolerance": tolerance}
     )
 
 
 def ric_monotonicity_suite(trials, seed, max_order=4, tolerance=1e-10):
-    """delta_q must be nondecreasing in q on random small matrices."""
-    violations = 0
-    min_slack = None
-    for trial in range(int(trials)):
-        rng = _trial_rng(seed, trial)
+    """delta_q must be nondecreasing in q on random small matrices.
+
+    One slack per adjacent pair of orders: delta_{q+1} - delta_q plus the
+    tolerance.
+    """
+
+    def trial_slacks(rng, trial):
         m = int(rng.integers(4, 8))
         n = int(rng.integers(max_order + 1, 9))
         A = rng.standard_normal((m, n)) / np.sqrt(m)
         deltas = [ric_exact(A, q).delta for q in range(1, max_order + 1)]
-        for low, high in zip(deltas, deltas[1:]):
-            slack = high - low + tolerance
-            min_slack = slack if min_slack is None else min(min_slack, slack)
-            if high < low - tolerance:
-                violations += 1
-    return VerificationSummary(
-        suite="ric-monotone",
-        instances=int(trials),
-        violations=violations,
-        inconclusive=0,
-        min_slack=min_slack,
-        parameters={"max_order": max_order, "tolerance": tolerance},
-        seed=int(seed),
+        return [high - low + tolerance for low, high in zip(deltas, deltas[1:])]
+
+    return _run_suite(
+        "ric-monotone", trials, seed, trial_slacks,
+        {"max_order": max_order, "tolerance": tolerance},
     )

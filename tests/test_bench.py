@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from dompkit.algorithms import AlgorithmConfig, run
 from dompkit.bench import (
     EnsembleSpec,
     crc_threshold,
@@ -320,3 +323,17 @@ def test_iteration_sweep_scores_every_budget_off_one_run(noise, monkeypatch):
             cells.append(SweepCell(coords={"algorithm": alg, "budget": b, "k": 6}, stats=stats))
     reference = SweepResult("phase-iters", swept.axes, swept.stat_columns, cells)
     assert swept.to_csv() == reference.to_csv()
+
+
+def test_pooled_sweep_leaves_the_warning_filters_alone():
+    # The filter list is process-wide: a catch_warnings block per pooled
+    # task lets interleaved tasks restore each other's filters, leaking an
+    # "ignore RuntimeWarning" that silenced run's k >= m warning for good.
+    spec = EnsembleSpec(m=20, n=60, k=3, master_seed=0)
+    before = list(warnings.filters)
+    for _ in range(3):
+        gamma_sweep(spec, [0.5, 0.9], [3, 4], ["domp", "edomp"], trials=20, threads=2)
+        assert warnings.filters == before
+    A, _, y = generate_problem(EnsembleSpec(m=4, n=12, k=2, master_seed=0), 0)
+    with pytest.warns(RuntimeWarning, match="not below m"):
+        run(A, y, AlgorithmConfig("omp", 4))

@@ -5,9 +5,15 @@ least-squares solve inside a step goes through the unchecked core
 ``linalg._restricted_ls``, which must agree bit for bit with the public,
 checked ``linalg.restricted_least_squares``.  The property test runs all
 six solvers on small degenerate problems (duplicate and zero columns,
-k >= m): each returns a finite estimate or raises ValueError.
+k >= m): each returns a finite estimate or raises ValueError.  On the
+same problems, every iterate of the support-growing solvers is the
+least-squares fit on its support (the incremental QR agrees with a
+from-scratch solve, and the gradient vanishes on the support), EDOMP
+iterates never hold more than k nonzeros, and DOMP at gamma = 1 is OMP
+for as long as the largest gradient magnitude is attained once.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -16,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dompkit import linalg
-from dompkit.algorithms import ALGORITHMS, AlgorithmConfig, run
+from dompkit.algorithms import ALGORITHMS, AlgorithmConfig, iterate, run
 
 
 def _problem(seed, m, n, k):
@@ -112,3 +118,68 @@ def test_solvers_finite_or_value_error_and_core_matches_public(problem):
     public = linalg.restricted_least_squares(A, y, support)
     core = linalg._restricted_ls(A, y, np.unique(np.asarray(support, dtype=np.int64)))
     assert public.tobytes() == core.tobytes()
+
+
+def _states(A, y, config):
+    """Every state ``iterate`` yields, and the termination reason."""
+    states = iterate(A, y, config)
+    seen = []
+    while True:
+        try:
+            seen.append(next(states))
+        except StopIteration as stop:
+            return seen, stop.value
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(degenerate_problems())
+def test_growing_solver_iterates_are_least_squares_on_their_support(problem):
+    A, y, k, gamma, _ = problem
+    for algorithm in ("omp", "gomp", "domp"):
+        if algorithm == "gomp" and k < 2:
+            continue
+        config = AlgorithmConfig(algorithm, k, gamma=gamma,
+                                 n_select=min(2, k - 1) if algorithm == "gomp" else None)
+        for state in _states(A, y, config)[0][1:]:
+            fresh = linalg.restricted_least_squares(A, y, state.support)
+            scale = np.linalg.norm(A) * (np.linalg.norm(y) + np.linalg.norm(A) * np.linalg.norm(fresh))
+            assert set(np.flatnonzero(state.x)) <= set(state.support), algorithm
+            # Least-squares fits on one support are one projection of y.
+            assert np.allclose(A @ state.x, A @ fresh, rtol=0, atol=1e-10 * scale), algorithm
+            sub = A[:, state.support]
+            if state.support.size <= A.shape[0] and np.linalg.cond(sub) < 1e6:
+                assert np.allclose(state.x, fresh, rtol=1e-8, atol=1e-10 * scale), algorithm
+            # First-order optimality: the gradient vanishes on the support.
+            assert np.abs(state.r[state.support]).max() <= 1e-10 * scale, algorithm
+
+
+@PROPERTY
+@given(degenerate_problems())
+def test_edomp_iterates_stay_k_sparse(problem):
+    A, y, k, gamma, _ = problem
+    # A small gamma and a halved k let the accumulated support outgrow k.
+    for sparsity, threshold, reset in itertools.product(
+        {k, (k + 1) // 2}, {gamma, 0.05}, (False, True)
+    ):
+        config = AlgorithmConfig("edomp", sparsity, gamma=threshold, reset_support=reset)
+        states = _states(A, y, config)[0]
+        assert all(np.count_nonzero(state.x) <= sparsity for state in states)
+
+
+@PROPERTY
+@given(degenerate_problems())
+def test_domp_at_gamma_one_is_omp_while_the_maximum_is_unique(problem):
+    A, y, k, _, _ = problem
+    omp, omp_reason = _states(A, y, AlgorithmConfig("omp", k))
+    domp, domp_reason = _states(A, y, AlgorithmConfig("domp", k, gamma=1.0))
+    for a, b in zip(omp, domp):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.support, b.support)
+        assert a.selected == b.selected
+        magnitudes = np.abs(a.r)
+        if np.count_nonzero(magnitudes == magnitudes.max()) > 1:
+            return  # a tie: DOMP adds every maximizer, OMP one of them
+    assert len(omp) == len(domp) and omp_reason == domp_reason

@@ -1,11 +1,13 @@
-"""Golden outputs of the sweeps and of two verification suites.
+"""Golden outputs of the sweeps and of the six verification suites.
 
 Each command below runs on a tiny grid with a fixed seed.  Its output was
 recorded under ``tests/data/golden/`` before the solvers moved onto one
-iterate engine and the sweeps onto one driver, so these tests pin that
-the refactor kept every byte.  Sweep CSVs and provenance sidecars are
-compared byte for byte; verify reports field by field, exactly except
-``min_slack`` (relative 1e-9, far above BLAS reordering noise).
+iterate engine and the sweeps onto one driver (the aux-inequalities,
+theta and ric-monotone reports: before the suites moved onto one
+driver), so these tests pin that each refactor kept every byte.  Sweep
+CSVs and provenance sidecars are compared byte for byte; verify reports
+field by field, exactly except ``min_slack`` (relative 1e-9, far above
+BLAS reordering noise).
 
 Re-record only for an intended change of output:
 
@@ -45,6 +47,10 @@ VERIFY = {
                           "--m", "200", "--n", "10", "--k", "2", "--c", "4"],
     "verify-bound-edomp": ["verify", "--suite", "bound-edomp", "--trials", "4", "--seed", "3",
                            "--m", "400", "--n", "8", "--k", "1", "--c", "3"],
+    "verify-aux-inequalities": ["verify", "--suite", "aux-inequalities", "--trials", "6",
+                                "--seed", "3"],
+    "verify-theta": ["verify", "--suite", "theta", "--trials", "5", "--seed", "3"],
+    "verify-ric-monotone": ["verify", "--suite", "ric-monotone", "--trials", "5", "--seed", "3"],
 }
 
 
