@@ -275,8 +275,9 @@ class AlgorithmConfig:
     """Which solver to run and with what parameters.
 
     ``gamma`` applies to the dynamic-selection solvers, ``n_select`` to
-    gOMP only.  ``max_iterations`` overrides the default budget (the
-    sparsity level for the support-growing solvers, 500 for CoSaMP/SP).
+    gOMP only (default min(2, k-1) indices per iteration).
+    ``max_iterations`` overrides the default budget (the sparsity level
+    for the support-growing solvers, 500 for CoSaMP/SP).
     """
 
     algorithm: str
@@ -296,9 +297,10 @@ class AlgorithmConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.algorithm == "gomp":
-            n = self.n_select if self.n_select is not None else 1
-            if not 1 <= n < self.k:
-                raise ValueError(f"gOMP needs 1 <= N < k, got N={n}, k={self.k}")
+            if self.n_select is None:
+                object.__setattr__(self, "n_select", min(2, self.k - 1))
+            if not 1 <= self.n_select < self.k:
+                raise ValueError(f"gOMP needs 1 <= N < k, got N={self.n_select}, k={self.k}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if self.tolerance < 0:
@@ -392,8 +394,7 @@ def _step(config, A, y):
     if config.algorithm == "omp":
         return lambda s: _stalled(s, omp_step(s, A, y))
     if config.algorithm == "gomp":
-        n_select = config.n_select if config.n_select is not None else 1
-        return lambda s: _stalled(s, gomp_step(s, A, y, n_select))
+        return lambda s: _stalled(s, gomp_step(s, A, y, config.n_select))
     if config.algorithm == "domp":
         return lambda s: _stalled(s, domp_step(s, A, y, k, gamma))
     return lambda s: _stalled(s, edomp_step(s, A, y, k, gamma, config.reset_support))

@@ -115,23 +115,10 @@ class TrialOutcome:
     wall_time: float
 
 
-def _algorithm_config(algorithm, k, gamma, budget, stopping=None):
-    """The solver configuration of one grid cell; gOMP adds min(2, k-1)
-    indices per iteration."""
-    return AlgorithmConfig(
-        algorithm,
-        k=k,
-        gamma=gamma,
-        n_select=min(2, k - 1) if algorithm == "gomp" else None,
-        stopping=stopping,
-        max_iterations=budget,
-    )
-
-
 def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
     """Run one recovery and score it against the target."""
     stopping = StoppingRule.relative_error(threshold, truth)
-    config = _algorithm_config(algorithm, k, gamma, budget, stopping)
+    config = AlgorithmConfig(algorithm, k=k, gamma=gamma, stopping=stopping, max_iterations=budget)
     report = run(A, y, config, success_threshold=threshold)
     support_match = bool(
         np.array_equal(top_q_indices(report.x, k), top_q_indices(truth, k))
@@ -215,6 +202,12 @@ def _provenance(name, spec_fields, **extra):
     return payload
 
 
+def _require_distinct(values, axis):
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"the sweep grid repeats {axis} {repeated[0]}")
+
+
 def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
     """Outcomes of every (algorithm, gamma) on each trial of each ensemble.
 
@@ -224,13 +217,16 @@ def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
     :func:`run_trial` and may return anything.  Returns one dict per
     spec, mapping (algorithm, gamma) to the per-trial results.  Every
     cell's configuration is built before the first problem is drawn, so
-    an invalid grid raises ValueError without doing any work.
+    an invalid grid, or one that repeats a key or an ensemble, raises
+    ValueError without doing any work.
     """
     keys = [(alg, g) for alg in algorithms for g in gammas]
+    _require_distinct(keys, "(algorithm, gamma)")
+    _require_distinct([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
     items = [(spec, t) for spec in specs for t in range(trials)]
     for spec in specs:
         for alg, g in keys:
-            _algorithm_config(alg, spec.k, g, budget(spec))
+            AlgorithmConfig(alg, k=spec.k, gamma=g, max_iterations=budget(spec))
 
     def task(item):
         spec, t = item
@@ -324,6 +320,7 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1)
     budget is scored off that run (see :func:`_success_stats`).
     """
     budgets = [int(b) for b in budgets]
+    _require_distinct(budgets, "budget")
     ks = [int(k) for k in ks]
     algorithms = list(algorithms)
     top = max(budgets)

@@ -7,10 +7,12 @@ certification (`ric`), and the verification suites (`verify`).
 Data goes to stdout (JSON or CSV), diagnostics to stderr.  Exit codes:
 0 success, 1 verification violations, 2 usage errors (including any flag
 value the library rejects), 3 data errors (unreadable or malformed
-files), 4 numeric failures.  Flags are checked by the library objects
-that consume them; this module only parses them.  Sweep commands require
-an explicit --seed; there is no hidden entropy.  Estimates in JSON use
-1-based index:value pairs.
+files), 4 numeric failures.  Flag values are checked by the library
+objects that consume them; this module only parses them.  A command
+rejects every flag it does not take: a sweep has only the flags of its
+`SWEEPS` row, spelled out in full, and a verify suite only those of its
+`VERIFY_SUITES` row.  Sweep commands require an explicit --seed; there
+is no hidden entropy.  Estimates in JSON use 1-based index:value pairs.
 """
 
 import argparse
@@ -31,23 +33,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DESK = "desk"
-FULL_SCALE = "full"
-
-_BOUND_FLAGS = ("m", "n", "k", "c", "gamma", "noise_amplitude")
-
-# Each verify suite: the theory function that runs it (looked up by name
-# at call time, so a wrapper bound onto the module is the one called), the
-# flags it takes, named as its keywords, and its fixed keywords.  Flags a
-# suite does not take are ignored; a flag left out keeps the default.
-VERIFY_SUITES = {
-    "proximity": ("projection_proximity_suite", ("m", "n", "k", "gamma"), {}),
-    "aux-inequalities": ("auxiliary_inequality_suite", (), {}),
-    "bound-domp": ("recovery_bound_suite", _BOUND_FLAGS, {"algorithm": "domp"}),
-    "bound-edomp": ("recovery_bound_suite", _BOUND_FLAGS, {"algorithm": "edomp"}),
-    "theta": ("theta_equivalence_suite", (), {}),
-    "ric-monotone": ("ric_monotonicity_suite", (), {}),
-}
+PRESETS = ("desk", "full")
 
 
 class UsageError(ValueError):
@@ -66,6 +52,108 @@ def _nonnegative_int(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
     return value
+
+
+def _csv_list(convert, accept, expected):
+    """An argparse type: a nonempty comma-separated list of accepted values."""
+
+    def parse(text):
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            values = []
+        if not values or not all(accept(v) for v in values):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values
+
+    return parse
+
+
+_csv_ints = _csv_list(int, lambda v: v >= 1, "comma-separated positive integers")
+_csv_floats = _csv_list(float, lambda v: True, "comma-separated numbers")
+_csv_names = _csv_list(str.strip, lambda v: True, "a comma-separated list")
+
+# Each sweep flag: the bench keyword it fills and its argparse options.
+_SWEEP_FLAGS = {
+    "m": ("m", dict(type=_positive_int)),
+    "n": ("n", dict(type=_positive_int)),
+    "noise": ("noise_amplitude", dict(type=float, default=0.0,
+                                      help="additive gaussian amplitude; switches to the noisy criterion")),
+    "k-levels": ("ks", dict(type=_csv_ints, help="comma-separated sparsity levels")),
+    "gammas": ("gammas", dict(type=_csv_floats, help="comma-separated threshold values")),
+    "budgets": ("budgets", dict(type=_csv_ints, help="comma-separated iteration budgets")),
+    "sizes": ("ms", dict(type=_csv_ints, help="comma-separated row counts m (n = 5m)")),
+    "trials": ("trials", dict(type=_positive_int, help="trials per cell")),
+    "algos": ("algorithms", dict(type=_csv_names, help="comma-separated algorithm list")),
+    "gamma": ("gamma", dict(type=float, default=0.9)),
+    "timing": ("timed", dict(action=argparse.BooleanOptionalAction, default=True,
+                             help="--no-timing zeroes runtime columns for byte-reproducible CSV")),
+}
+
+_ENSEMBLE = {"m": (125, 500), "n": (500, 2000), "noise": None}
+_PHASE_K_LEVELS = ([30, 40], [120, 140, 150, 160, 170, 180])
+_FIVE_SOLVERS = ["omp", "domp", "edomp", "cosamp", "sp"]
+
+# Each sweep command: the bench function that runs it (looked up by name
+# at call time, like a verify suite's), its help, and the flags it takes,
+# each with its (desk, full) defaults, in PRESETS order, or None where the
+# flag's own default holds at both presets.  A sweep with --m/--n runs on an
+# EnsembleSpec whose k is the first sparsity level.
+SWEEPS = {
+    "phase-gamma": ("gamma_sweep", "success rates across the selection threshold", {
+        **_ENSEMBLE,
+        "k-levels": _PHASE_K_LEVELS,
+        "gammas": ([t / 20 for t in range(1, 21)],) * 2,
+        "trials": (50, 500),
+        "algos": (["domp", "edomp"],) * 2,
+    }),
+    "phase-iters": ("iteration_sweep", "success rates across the iteration budget", {
+        **_ENSEMBLE,
+        "k-levels": _PHASE_K_LEVELS,
+        "budgets": ([1 + 3 * j for j in range(20)], [1 + 3 * j for j in range(60)]),
+        "trials": (50, 500),
+        "algos": (["domp", "edomp"],) * 2,
+        "gamma": None,
+    }),
+    "phase-k": ("success_curves", "success rates across the sparsity level", {
+        **_ENSEMBLE,
+        "k-levels": (list(range(1, 76, 3)), list(range(1, 300, 3))),
+        "trials": (50, 200),
+        "algos": (_FIVE_SOLVERS,) * 2,
+        "gamma": None,
+    }),
+    "scaling": ("scaling_benchmark", "iterations-to-recovery and runtime across problem sizes", {
+        "sizes": ([200 * j for j in range(1, 6)], [200 * j for j in range(1, 11)]),
+        "trials": (10, 50),
+        "algos": (_FIVE_SOLVERS,) * 2,
+        "gamma": None,
+        "timing": None,
+    }),
+}
+
+# Each verify flag, by the suite keyword it fills: the flag and its type.
+_VERIFY_FLAGS = {
+    "m": ("--m", _positive_int),
+    "n": ("--n", _positive_int),
+    "k": ("--k", _positive_int),
+    "c": ("--c", _positive_int),
+    "gamma": ("--gamma", float),
+    "noise_amplitude": ("--noise", float),
+}
+
+# Each verify suite: the theory function that runs it (looked up by name
+# at call time, so a wrapper bound onto the module is the one called), the
+# flags it takes, named as its keywords, and its fixed keywords.  A flag
+# the suite does not take is a usage error; a flag left out keeps the
+# default.
+VERIFY_SUITES = {
+    "proximity": ("projection_proximity_suite", ("m", "n", "k", "gamma"), {}),
+    "aux-inequalities": ("auxiliary_inequality_suite", (), {}),
+    "bound-domp": ("recovery_bound_suite", tuple(_VERIFY_FLAGS), {"algorithm": "domp"}),
+    "bound-edomp": ("recovery_bound_suite", tuple(_VERIFY_FLAGS), {"algorithm": "edomp"}),
+    "theta": ("theta_equivalence_suite", (), {}),
+    "ric-monotone": ("ric_monotonicity_suite", (), {}),
+}
 
 
 def build_parser():
@@ -93,41 +181,23 @@ def build_parser():
     rec.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
     rec.set_defaults(func=_cmd_recover)
 
-    for name, helptext in (
-        ("phase-gamma", "success rates across the selection threshold"),
-        ("phase-iters", "success rates across the iteration budget"),
-        ("phase-k", "success rates across the sparsity level"),
-        ("scaling", "iterations-to-recovery and runtime across problem sizes"),
-    ):
-        sw = sub.add_parser(name, help=helptext)
-        sw.add_argument("--preset", choices=(DESK, FULL_SCALE), default=None,
+    for command, (_, helptext, flags) in SWEEPS.items():
+        # No abbreviations: phase-gamma's --gammas must not take --gamma.
+        sw = sub.add_parser(command, help=helptext, allow_abbrev=False)
+        sw.add_argument("--preset", choices=PRESETS, default=PRESETS[0],
                         help="desk: minutes-scale grid; full: the full-scale grid")
-        sw.add_argument("--seed", type=_nonnegative_int, default=None, help="master seed (required)")
-        sw.add_argument("--trials", type=_positive_int, default=None, help="trials per cell")
-        sw.add_argument("--algos", default=None, help="comma-separated algorithm list")
+        sw.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
         sw.add_argument("--threads", type=_positive_int, default=1, help="worker cap for trials")
         sw.add_argument("--out", default=None, help="CSV path; provenance sidecar written next to it")
-        sw.add_argument("--gamma", type=float, default=0.9)
-        if name != "scaling":
-            sw.add_argument("--m", type=_positive_int, default=None)
-            sw.add_argument("--n", type=_positive_int, default=None)
-            sw.add_argument("--noise", type=float, default=0.0,
-                            help="additive gaussian amplitude; switches to the noisy criterion")
-            sw.add_argument("--k-levels", default=None, help="comma-separated sparsity levels")
-        if name == "phase-gamma":
-            sw.add_argument("--gammas", default=None, help="comma-separated threshold values")
-        if name == "phase-iters":
-            sw.add_argument("--budgets", default=None, help="comma-separated iteration budgets")
-        if name == "scaling":
-            sw.add_argument("--sizes", default=None, help="comma-separated row counts m (n = 5m)")
-            sw.add_argument("--timing", action=argparse.BooleanOptionalAction, default=True,
-                            help="--no-timing zeroes runtime columns for byte-reproducible CSV")
-        sw.set_defaults(func=_cmd_sweep, sweep=name)
+        for flag in flags:
+            sw.add_argument(f"--{flag}", **_SWEEP_FLAGS[flag][1])
+        sw.set_defaults(func=_cmd_sweep)
 
     ric = sub.add_parser("ric", help="exact restricted isometry constants by exhaustive enumeration")
     ric.add_argument("--matrix", required=True)
-    ric.add_argument("--order", type=_positive_int, default=None, help="single order q")
-    ric.add_argument("--highest", action="store_true", help="largest order with delta < 1")
+    order = ric.add_mutually_exclusive_group(required=True)
+    order.add_argument("--order", type=_positive_int, help="single order q")
+    order.add_argument("--highest", action="store_true", help="largest order with delta < 1")
     ric.add_argument("--cap", type=_positive_int, default=theory.DEFAULT_ENUMERATION_CAP,
                      help="support-enumeration cap")
     ric.add_argument("--output", default=None)
@@ -137,12 +207,8 @@ def build_parser():
     ver.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     ver.add_argument("--trials", required=True, type=_positive_int)
     ver.add_argument("--seed", required=True, type=_nonnegative_int)
-    ver.add_argument("--m", type=_positive_int, default=None)
-    ver.add_argument("--n", type=_positive_int, default=None)
-    ver.add_argument("--k", type=_positive_int, default=None)
-    ver.add_argument("--c", type=_positive_int, default=None)
-    ver.add_argument("--gamma", type=float, default=None)
-    ver.add_argument("--noise", dest="noise_amplitude", metavar="NOISE", type=float, default=None)
+    for key, (flag, kind) in _VERIFY_FLAGS.items():
+        ver.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=kind, default=None)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=_cmd_verify)
 
@@ -204,10 +270,7 @@ def _sparse_estimate(x):
 
 def _cmd_recover(args):
     # Flags are checked before any file is read: a bad flag beats a bad file.
-    n_select = None
-    if args.algo == "gomp":
-        n_select = args.gomp_n if args.gomp_n is not None else min(2, args.sparsity - 1)
-    config = AlgorithmConfig(args.algo, k=args.sparsity, gamma=args.gamma, n_select=n_select,
+    config = AlgorithmConfig(args.algo, k=args.sparsity, gamma=args.gamma, n_select=args.gomp_n,
                              reset_support=args.reset_support)
     stop_parsed = _check_stop_syntax(args.stop, args.truth is not None)
 
@@ -246,130 +309,26 @@ def _cmd_recover(args):
     return EXIT_OK
 
 
-def _csv_ints(text, flag):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers: {exc}") from exc
-    if not values or any(v < 1 for v in values):
-        raise UsageError(f"{flag} expects positive integers")
-    return values
-
-
-def _csv_floats(text, flag):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated numbers: {exc}") from exc
-    if not values:
-        raise UsageError(f"{flag} expects at least one value")
-    return values
-
-
-def _split_algos(text, default):
-    if text is None:
-        return list(default)
-    algos = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not algos:
-        raise UsageError("--algos expects at least one algorithm")
-    return algos
-
-
-def _sweep_sizes(args, desk_mn, full_mn):
-    preset = args.preset or DESK
-    m, n = (desk_mn if preset == DESK else full_mn)
-    if args.m is not None:
-        m = args.m
-    if args.n is not None:
-        n = args.n
-    return m, n
-
-
 def _cmd_sweep(args):
-    if args.seed is None:
-        raise UsageError("sweep commands require an explicit --seed; there is no hidden entropy")
-    preset = args.preset or DESK
-    name = args.sweep
-
-    if name == "scaling":
-        sizes = (
-            _csv_ints(args.sizes, "--sizes")
-            if args.sizes is not None
-            else ([200 * j for j in range(1, 6)] if preset == DESK else [200 * j for j in range(1, 11)])
-        )
-        trials = args.trials if args.trials is not None else (10 if preset == DESK else 50)
-        algos = _split_algos(args.algos, ("omp", "domp", "edomp", "cosamp", "sp"))
-        result = bench.scaling_benchmark(
-            sizes,
-            algos,
-            trials=trials,
-            master_seed=args.seed,
-            gamma=args.gamma,
-            timed=args.timing,
-            threads=args.threads,
-        )
+    name, _, flags = SWEEPS[args.command]
+    column = PRESETS.index(args.preset)
+    keywords = {}
+    for flag, presets in flags.items():
+        value = getattr(args, flag.replace("-", "_"))
+        keywords[_SWEEP_FLAGS[flag][0]] = presets[column] if value is None else value
+    ensemble = {key: keywords.pop(key) for key in ("m", "n", "noise_amplitude") if key in keywords}
+    if ensemble:
+        keywords["spec"] = bench.EnsembleSpec(k=keywords["ks"][0], master_seed=args.seed, **ensemble)
     else:
-        m, n = _sweep_sizes(args, (125, 500), (500, 2000))
-        noise = args.noise
-        if name == "phase-gamma":
-            gammas = (
-                _csv_floats(args.gammas, "--gammas")
-                if args.gammas is not None
-                else [t / 20 for t in range(1, 21)]
-            )
-            ks = (
-                _csv_ints(args.k_levels, "--k-levels")
-                if args.k_levels is not None
-                else ([30, 40] if preset == DESK else [120, 140, 150, 160, 170, 180])
-            )
-            trials = args.trials if args.trials is not None else (50 if preset == DESK else 500)
-            algos = _split_algos(args.algos, ("domp", "edomp"))
-            spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
-            result = bench.gamma_sweep(spec, gammas, ks, algos, trials=trials, threads=args.threads)
-        elif name == "phase-iters":
-            budgets = (
-                _csv_ints(args.budgets, "--budgets")
-                if args.budgets is not None
-                else (
-                    [1 + 3 * j for j in range(20)] if preset == DESK else [1 + 3 * j for j in range(60)]
-                )
-            )
-            ks = (
-                _csv_ints(args.k_levels, "--k-levels")
-                if args.k_levels is not None
-                else ([30, 40] if preset == DESK else [120, 140, 150, 160, 170, 180])
-            )
-            trials = args.trials if args.trials is not None else (50 if preset == DESK else 500)
-            algos = _split_algos(args.algos, ("domp", "edomp"))
-            spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
-            result = bench.iteration_sweep(
-                spec, budgets, ks, algos, trials=trials, gamma=args.gamma, threads=args.threads
-            )
-        else:
-            ks = (
-                _csv_ints(args.k_levels, "--k-levels")
-                if args.k_levels is not None
-                else (
-                    list(range(1, 76, 3)) if preset == DESK else list(range(1, 300, 3))
-                )
-            )
-            trials = args.trials if args.trials is not None else (50 if preset == DESK else 200)
-            algos = _split_algos(args.algos, ("omp", "domp", "edomp", "cosamp", "sp"))
-            spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=args.seed, noise_amplitude=noise)
-            result = bench.success_curves(
-                spec, ks, algos, trials=trials, gamma=args.gamma, threads=args.threads
-            )
-
-    if args.out is None:
-        sys.stdout.write(result.to_csv())
-    else:
-        result.write(args.out, str(args.out) + ".meta.json")
+        keywords["master_seed"] = args.seed
+    result = getattr(bench, name)(**keywords, threads=args.threads)
+    _emit(result.to_csv(), args.out)
+    if args.out is not None:
+        _emit(result.provenance_json(), args.out + ".meta.json")
     return EXIT_OK
 
 
 def _cmd_ric(args):
-    if (args.order is None) == (not args.highest):
-        raise UsageError("choose exactly one of --order Q or --highest")
     A = linalg.load_matrix(args.matrix)
     if args.highest:
         t_max = theory.highest_rip_order(A, cap=args.cap)
@@ -389,7 +348,10 @@ def _cmd_ric(args):
 
 def _cmd_verify(args):
     name, flags, fixed = VERIFY_SUITES[args.suite]
-    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    given = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    foreign = [_VERIFY_FLAGS[key][0] for key in given if key not in flags]
+    if foreign:
+        raise UsageError(f"suite {args.suite} does not take {', '.join(foreign)}")
     summary = getattr(theory, name)(args.trials, args.seed, **fixed, **given)
     _emit(summary.to_json(indent=2) + "\n", args.output)
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATIONS

@@ -208,6 +208,16 @@ def test_edomp_monte_carlo_tracks_domp():
     assert edomp_hits >= domp_hits - 5
 
 
+def test_gomp_default_n_is_min_two_k_minus_one():
+    assert AlgorithmConfig("gomp", k=2).n_select == 1
+    assert AlgorithmConfig("gomp", k=3).n_select == 2
+    assert AlgorithmConfig("gomp", k=9).n_select == 2
+    assert AlgorithmConfig("gomp", k=9, n_select=4).n_select == 4
+    assert AlgorithmConfig("domp", k=9).n_select is None
+    with pytest.raises(ValueError, match="N=0"):
+        AlgorithmConfig("gomp", k=1)
+
+
 def test_gomp_n1_matches_omp():
     rng = np.random.default_rng(5)
     A, x, y = random_sparse_problem(rng, 30, 90, 5)

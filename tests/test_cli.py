@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -395,3 +396,106 @@ def test_numeric_failure_exits_four(monkeypatch, capsys):
     monkeypatch.setattr(theory, "theta_constant", singular)
     assert main(["verify", "--suite", "theta", "--trials", "1", "--seed", "1"]) == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+ENSEMBLES = {"desk": (125, 500), "full": (500, 2000)}
+PHASE_K_LEVELS = {"desk": [30, 40], "full": [120, 140, 150, 160, 170, 180]}
+FIVE_SOLVERS = ["omp", "domp", "edomp", "cosamp", "sp"]
+
+
+def _preset_grid(sweep, preset):
+    """The bench call a sweep makes at a preset with only --seed 5 given."""
+    m, n = ENSEMBLES[preset]
+    ks = PHASE_K_LEVELS[preset]
+    if sweep == "phase-gamma":
+        spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=5)
+        gammas = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+                  0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+        return "gamma_sweep", dict(spec=spec, gammas=gammas, ks=ks, algorithms=["domp", "edomp"],
+                                   trials={"desk": 50, "full": 500}[preset], threads=1)
+    if sweep == "phase-iters":
+        spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=5)
+        budgets = list(range(1, 59, 3)) if preset == "desk" else list(range(1, 179, 3))
+        return "iteration_sweep", dict(spec=spec, budgets=budgets, ks=ks, algorithms=["domp", "edomp"],
+                                       trials={"desk": 50, "full": 500}[preset], gamma=0.9, threads=1)
+    if sweep == "phase-k":
+        ks = list(range(1, 74, 3)) if preset == "desk" else list(range(1, 299, 3))
+        spec = bench.EnsembleSpec(m=m, n=n, k=1, master_seed=5)
+        return "success_curves", dict(spec=spec, ks=ks, algorithms=FIVE_SOLVERS,
+                                      trials={"desk": 50, "full": 200}[preset], gamma=0.9, threads=1)
+    ms = [200, 400, 600, 800, 1000] if preset == "desk" else list(range(200, 2001, 200))
+    return "scaling_benchmark", dict(ms=ms, algorithms=FIVE_SOLVERS,
+                                     trials={"desk": 10, "full": 50}[preset], master_seed=5,
+                                     gamma=0.9, n_factor=5, k_ratio=0.3, scaling="raw", timed=True,
+                                     threads=1)
+
+
+@pytest.mark.parametrize("preset", ["desk", "full"])
+@pytest.mark.parametrize("sweep", ["phase-gamma", "phase-iters", "phase-k", "scaling"])
+def test_sweep_preset_grids(monkeypatch, capsys, sweep, preset):
+    # Only --seed is given, so every grid value is a preset default.  The
+    # bench function is replaced by one that records its arguments and
+    # returns before any solve.
+    name, expected = _preset_grid(sweep, preset)
+    signature = inspect.signature(getattr(bench, name))
+    calls = []
+
+    class Empty:
+        def to_csv(self):
+            return ""
+
+    def capture(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return Empty()
+
+    monkeypatch.setattr(bench, name, capture)
+    assert main([sweep, "--preset", preset, "--seed", "5"]) == 0
+    assert calls == [expected]
+    assert capsys.readouterr().out == ""
+
+
+VERIFY_ONE = ["--trials", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["phase-gamma", *TINY_SWEEP, "--gamma", "0.1"], "unrecognized arguments: --gamma 0.1\n"),
+        (["verify", "--suite", "proximity", *VERIFY_ONE, "--c", "3"],
+         "error: suite proximity does not take --c\n"),
+        (["verify", "--suite", "proximity", *VERIFY_ONE, "--noise", "0.1"],
+         "error: suite proximity does not take --noise\n"),
+        (["verify", "--suite", "aux-inequalities", *VERIFY_ONE, "--k", "2"],
+         "error: suite aux-inequalities does not take --k\n"),
+        (["verify", "--suite", "theta", *VERIFY_ONE, "--m", "8", "--gamma", "0.5"],
+         "error: suite theta does not take --m, --gamma\n"),
+        (["verify", "--suite", "ric-monotone", *VERIFY_ONE, "--n", "8"],
+         "error: suite ric-monotone does not take --n\n"),
+    ],
+)
+def test_flag_a_command_does_not_take_is_rejected(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase-gamma", *TINY_SWEEP, "--algos", "domp,domp,edomp"],
+        ["phase-gamma", *TINY_SWEEP, "--gammas", "0.5,0.9,0.5"],
+        ["phase-k", *TINY_SWEEP[:-1], "2,3,2"],
+        ["phase-iters", *TINY_SWEEP, "--budgets", "1,2,2"],
+        ["scaling", "--seed", "1", "--trials", "1", "--sizes", "20,20", "--no-timing"],
+    ],
+)
+def test_repeated_grid_value_fails_before_any_problem(monkeypatch, capsys, argv):
+    drawn = []
+    generate = bench.generate_problem
+    monkeypatch.setattr(bench, "generate_problem", lambda *a: drawn.append(a) or generate(*a))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: the sweep grid repeats ")
+    assert drawn == []
