@@ -108,8 +108,13 @@ def select_dynamic_indices(r, k, gamma):
 
 
 def _next_state(A, y, previous, x, support, selected, solver=None):
-    """The state after ``previous`` with estimate ``x`` and a fresh residual."""
-    misfit = y - A @ x
+    """The state after ``previous`` with estimate ``x`` and a fresh residual.
+
+    The misfit y - A x is formed from the columns where x is nonzero, so
+    the gradient A^T (y - A x) is the one O(mn) product of a step.
+    """
+    nz = np.flatnonzero(x)
+    misfit = y - A[:, nz] @ x[nz]
     return IterateState(
         x=x,
         support=np.asarray(support, dtype=np.int64),
@@ -298,6 +303,8 @@ class AlgorithmConfig:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.algorithm == "gomp":
             if self.n_select is None:
+                if self.k < 2:
+                    raise ValueError(f"gOMP needs k >= 2 to select 1 <= N < k indices, got k={self.k}")
                 object.__setattr__(self, "n_select", min(2, self.k - 1))
             if not 1 <= self.n_select < self.k:
                 raise ValueError(f"gOMP needs 1 <= N < k, got N={self.n_select}, k={self.k}")

@@ -28,8 +28,9 @@ __all__ = [
     "top_q_indices",
 ]
 
-# Reciprocal of the condition-number estimate above which the QR path is
-# abandoned for an SVD minimum-norm solve.
+# A QR factor whose smallest diagonal magnitude is at most this fraction of
+# its largest (a reciprocal condition estimate) is treated as rank
+# deficient: the QR solve is abandoned for an SVD minimum-norm solve.
 _COND_RECIP_LIMIT = 1e-12
 
 
@@ -120,19 +121,30 @@ def residual_gradient(A, y, x):
     return A.T @ (y - A @ x)
 
 
-def _solve_submatrix_ls(As, y):
-    """Least-squares coefficients for a column submatrix.
+def _well_conditioned(R):
+    diag = np.abs(np.diag(R))
+    return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
-    QR when the submatrix is tall and comfortably full rank, otherwise an
-    SVD-based minimum-norm solve (rank deficiency, near-collinearity, or
-    more columns than rows).
+
+def _solve_submatrix_ls(As, y):
+    """Minimum-norm least-squares coefficients for a column submatrix.
+
+    A tall submatrix (no more columns than rows) of full column rank is
+    solved through ``As = QR`` as ``R^-1 Q^T y``.  A wide one of full row
+    rank is solved through ``As^T = QR`` as ``Q R^-T y``, the minimum-norm
+    solution of the underdetermined system.  When R fails the
+    ``_COND_RECIP_LIMIT`` test (rank deficiency or near-collinearity) the
+    solve falls back to an SVD (``lstsq``).
     """
     m, s = As.shape
     if s <= m:
         Q, R = np.linalg.qr(As)
-        diag = np.abs(np.diag(R))
-        if diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max():
+        if _well_conditioned(R):
             return np.linalg.solve(R, Q.T @ y)
+    else:
+        Q, R = np.linalg.qr(As.T)
+        if _well_conditioned(R):
+            return Q @ np.linalg.solve(R.T, y)
     return np.linalg.lstsq(As, y, rcond=None)[0]
 
 
@@ -232,6 +244,27 @@ def spectral_norm(A, tol=1e-10, max_iterations=100_000):
     return 0.0
 
 
+class _QRBuffer:
+    """Q, R and Q^T y of one growing factorization, with room to append.
+
+    Q is stored C-order with shape (m, capacity): the view ``Q[:, :t]``
+    has the layout and transpose flag of a freshly stacked m x t array, so
+    BLAS sums in the same order on it from 4 columns on.  ``used`` counts
+    the columns written so far; solver snapshots of t <= used columns
+    share the buffer.
+    """
+
+    def __init__(self, m, capacity, source=None, t=0):
+        self.Q = np.zeros((m, capacity))
+        self.R = np.zeros((capacity, capacity))
+        self.qty = np.zeros(capacity)
+        self.used = t
+        if t:
+            self.Q[:, :t] = source.Q[:, :t]
+            self.R[:t, :t] = source.R[:t, :t]
+            self.qty[:t] = source.qty[:t]
+
+
 class IncrementalQRSolver:
     """QR factorization of a column submatrix grown one column at a time.
 
@@ -243,16 +276,20 @@ class IncrementalQRSolver:
     :func:`restricted_least_squares`.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
-    snapshots can be carried inside immutable iterate states.
+    snapshots can be carried inside immutable iterate states.  Snapshots
+    share one append-only buffer (see ``_QRBuffer``) up to their own
+    length t.  A column is written in place past the last written one;
+    the buffer is copied only when it is full (capacity doubles, up to m)
+    or when a snapshot shorter than the buffer is extended, which would
+    overwrite another snapshot's columns.  Snapshots of one solver must
+    therefore not be extended from two threads at once.
     """
 
     def __init__(self, A, y):
         self._A = np.asarray(A, dtype=float)
         self._y = np.asarray(y, dtype=float)
-        m = self._A.shape[0]
-        self._Q = np.zeros((m, 0))
-        self._R = np.zeros((0, 0))
-        self._qty = np.zeros(0)
+        self._buffer = _QRBuffer(self._A.shape[0], 0)
+        self._t = 0
         self.columns = []
         self.degenerate = False
         self._diag_max = 0.0
@@ -261,9 +298,8 @@ class IncrementalQRSolver:
     def extended(self, indices):
         """New solver with ``indices`` appended to the factored support.
 
-        The new solver starts out sharing Q, R and Q^T y with the receiver:
-        appending rebinds those arrays and never writes into them, so only
-        the column list is copied.
+        The new solver shares the receiver's buffer and copies only the
+        column list; appending never changes the receiver's t columns.
         """
         new = IncrementalQRSolver.__new__(IncrementalQRSolver)
         new.__dict__.update(self.__dict__)
@@ -277,16 +313,23 @@ class IncrementalQRSolver:
         if self.degenerate:
             return
         a = self._A[:, j]
-        t = self._Q.shape[1]
-        if t >= self._A.shape[0]:
+        t = self._t
+        m = self._A.shape[0]
+        if t >= m:
             self.degenerate = True
             return
-        r = self._Q.T @ a
-        q = a - self._Q @ r
+        Q = self._buffer.Q[:, :t]
+        if t < 4:
+            # OpenBLAS takes another summation order for Q^T a on fewer than
+            # 4 strided columns; a contiguous copy (at most 3m values) keeps
+            # the factorization bit-identical to one of stacked columns.
+            Q = np.ascontiguousarray(Q)
+        r = Q.T @ a
+        q = a - Q @ r
         # Second Gram-Schmidt pass restores orthogonality lost to cancellation.
-        corr = self._Q.T @ q
+        corr = Q.T @ q
         r = r + corr
-        q = q - self._Q @ corr
+        q = q - Q @ corr
         rho = float(np.linalg.norm(q))
         norm_a = float(np.linalg.norm(a))
         if rho <= 1e-12 * max(norm_a, np.finfo(float).tiny):
@@ -297,13 +340,17 @@ class IncrementalQRSolver:
         if self._diag_min <= _COND_RECIP_LIMIT * self._diag_max:
             self.degenerate = True
             return
-        self._Q = np.column_stack([self._Q, q / rho])
-        new_R = np.zeros((t + 1, t + 1))
-        new_R[:t, :t] = self._R
-        new_R[:t, t] = r
-        new_R[t, t] = rho
-        self._R = new_R
-        self._qty = np.append(self._qty, (q / rho) @ self._y)
+        buffer = self._buffer
+        capacity = buffer.Q.shape[1]
+        if buffer.used != t or t == capacity:
+            grown = capacity if t < capacity else min(m, max(8, 2 * capacity))
+            buffer = self._buffer = _QRBuffer(m, grown, buffer, t)
+        q = q / rho
+        buffer.Q[:, t] = q
+        buffer.R[:t, t] = r
+        buffer.R[t, t] = rho
+        buffer.qty[t] = q @ self._y
+        buffer.used = self._t = t + 1
 
     def solve(self):
         """Full-length least-squares solution on the factored support.
@@ -315,7 +362,8 @@ class IncrementalQRSolver:
             return None
         x = np.zeros(self._A.shape[1])
         if self.columns:
-            coef = np.linalg.solve(self._R, self._qty)
+            t = self._t
+            coef = np.linalg.solve(self._buffer.R[:t, :t], self._buffer.qty[:t])
             x[np.asarray(self.columns, dtype=np.int64)] = coef
         return x
 

@@ -214,7 +214,7 @@ def test_gomp_default_n_is_min_two_k_minus_one():
     assert AlgorithmConfig("gomp", k=9).n_select == 2
     assert AlgorithmConfig("gomp", k=9, n_select=4).n_select == 4
     assert AlgorithmConfig("domp", k=9).n_select is None
-    with pytest.raises(ValueError, match="N=0"):
+    with pytest.raises(ValueError, match="gOMP needs k >= 2"):
         AlgorithmConfig("gomp", k=1)
 
 

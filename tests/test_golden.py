@@ -32,6 +32,10 @@ ITERS = ["phase-iters", *SHAPE, "--k-levels", "4,8", "--budgets", "1,3,4,7,8,12,
 SWEEPS = {
     "phase-gamma": ["phase-gamma", *SHAPE, "--k-levels", "4,8", "--gammas", "0.3,0.7,1.0",
                     "--algos", "domp,edomp"],
+    # At gamma=0.1 and k=8, 12 DOMP's support outgrows m=30: the incremental
+    # QR goes degenerate and the step falls back to a wide least-squares solve.
+    "phase-gamma-low": ["phase-gamma", *SHAPE, "--k-levels", "6,8,12", "--gammas", "0.1",
+                        "--algos", "domp"],
     "phase-iters": ITERS,
     "phase-iters-noisy": [*ITERS, "--noise", "0.001"],
     # k=11 is past the transition: CoSaMP runs into its 500-iteration cap.

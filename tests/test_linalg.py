@@ -119,6 +119,54 @@ def test_restricted_ls_duplicate_columns_minimum_norm():
     assert np.allclose(x[[0, 1]], [0.5, 0.5], atol=1e-10)
 
 
+def _counting_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def test_restricted_ls_wide_support_is_minimum_norm_without_svd(monkeypatch):
+    # More columns than rows and full row rank: the QR of A_S^T gives the
+    # minimum-norm solution, the SVD oracle's, and lstsq is never called.
+    calls = _counting_lstsq(monkeypatch)
+    rng = np.random.default_rng(24)
+    for m in (1, 5, 12, 30):
+        n = 4 * m
+        A = rng.standard_normal((m, n))
+        y = rng.standard_normal(m)
+        for s in sorted({m + 1, 2 * m, 3 * m}):
+            support = np.sort(rng.choice(n, size=s, replace=False))
+            x = linalg.restricted_least_squares(A, y, support)
+            oracle = np.linalg.pinv(A[:, support]) @ y
+            assert np.abs(x[support] - oracle).max() <= 1e-10
+            assert not x[np.setdiff1d(np.arange(n), support)].any()
+    assert calls == []
+
+
+def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypatch):
+    # Duplicate and zero columns leave a wide A_S of rank 4 < m = 6: the
+    # QR of A_S^T fails the conditioning test and lstsq returns the
+    # minimum-norm solution.
+    calls = _counting_lstsq(monkeypatch)
+    rng = np.random.default_rng(25)
+    B = rng.standard_normal((6, 4))
+    A = np.column_stack([B, B[:, :3], np.zeros(6), rng.standard_normal((6, 3))])
+    y = rng.standard_normal(6)
+    support = np.arange(9)
+    x = linalg.restricted_least_squares(A, y, support)
+    assert calls == [(6, 9)]
+    oracle = np.linalg.pinv(A[:, support]) @ y
+    assert np.abs(x[support] - oracle).max() <= 1e-10
+    assert x[7] == 0.0
+    assert np.allclose(x[:3], x[4:7], rtol=0, atol=1e-12)
+
+
 def test_restricted_ls_first_order_condition():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -257,6 +305,45 @@ def test_incremental_qr_extended_leaves_original_untouched():
     base.extended([1, 9])
     assert np.array_equal(base.solve(), snapshot)
     assert base.columns == [2, 7]
+
+
+def test_incremental_qr_snapshot_extended_twice():
+    # The second extension of one snapshot must not overwrite the columns
+    # the first extension appended to the shared buffer.
+    rng = np.random.default_rng(26)
+    A = rng.standard_normal((12, 30))
+    y = rng.standard_normal(12)
+    base = linalg.IncrementalQRSolver(A, y).extended([4, 9, 21])
+    before = base.solve().tobytes()
+    first = base.extended([0, 13])
+    first_bytes = first.solve().tobytes()
+    second = base.extended([27, 2, 16])
+    assert base.solve().tobytes() == before
+    assert first.solve().tobytes() == first_bytes
+    for solver in (base, first, second):
+        expect = linalg.restricted_least_squares(A, y, solver.columns)
+        assert np.allclose(solver.solve(), expect, rtol=0, atol=1e-10)
+    assert (base.columns, first.columns, second.columns) == ([4, 9, 21], [4, 9, 21, 0, 13],
+                                                             [4, 9, 21, 27, 2, 16])
+
+
+def test_incremental_qr_grows_past_its_capacity():
+    # Up to m = 40 columns, one and many at a time: the buffer is
+    # reallocated several times on the way, the last time capped at m.
+    rng = np.random.default_rng(27)
+    A = rng.standard_normal((40, 80))
+    y = rng.standard_normal(40)
+    perm = rng.permutation(80).tolist()
+    order = perm[:40]
+    solver = linalg.IncrementalQRSolver(A, y)
+    for t, j in enumerate(order, start=1):
+        solver = solver.extended([j])
+        expect = linalg.restricted_least_squares(A, y, order[:t])
+        assert np.allclose(solver.solve(), expect, rtol=0, atol=1e-9)
+    at_once = linalg.IncrementalQRSolver(A, y).extended(order)
+    assert np.array_equal(at_once.solve(), solver.solve())
+    assert not at_once.degenerate
+    assert at_once.extended([perm[40]]).degenerate
 
 
 def test_incremental_qr_flags_dependent_column():
