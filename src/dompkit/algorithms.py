@@ -214,12 +214,12 @@ def sp_step(state, A, y, k):
 class StoppingRule:
     """Exactly one termination test: an iteration budget, a threshold on
     the measurement or gradient residual, or a relative-error threshold
-    against a known ground truth."""
+    against the ground truth the run is given (see :func:`iterate`).
+    A rule holds no array, so rules compare equal and hash by value."""
 
     kind: str
     epsilon: float = 0.0
     iterations: int | None = None
-    truth: np.ndarray | None = None
 
     KINDS = ("max-iterations", "measurement-residual", "gradient-residual", "relative-error")
 
@@ -230,8 +230,6 @@ class StoppingRule:
             raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon}")
         if self.kind == "max-iterations" and (self.iterations is None or self.iterations < 0):
             raise ValueError("max-iterations rule needs a nonnegative iteration count")
-        if self.kind == "relative-error" and self.truth is None:
-            raise ValueError("relative-error rule needs the ground truth")
 
     @classmethod
     def max_iterations(cls, iterations):
@@ -246,21 +244,18 @@ class StoppingRule:
         return cls(kind="gradient-residual", epsilon=float(epsilon))
 
     @classmethod
-    def relative_error(cls, epsilon, truth):
-        return cls(
-            kind="relative-error",
-            epsilon=float(epsilon),
-            truth=np.asarray(truth, dtype=float),
-        )
+    def relative_error(cls, epsilon):
+        return cls(kind="relative-error", epsilon=float(epsilon))
 
-    def satisfied(self, state):
+    def satisfied(self, state, truth=None):
+        """Whether ``state`` passes; the relative-error kind compares with ``truth``."""
         if self.kind == "max-iterations":
             return state.p >= self.iterations
         if self.kind == "measurement-residual":
             return state.residual_norm <= self.epsilon
         if self.kind == "gradient-residual":
             return float(np.linalg.norm(state.r)) <= self.epsilon
-        return _relative_error(state.x, self.truth) <= self.epsilon
+        return _relative_error(state.x, truth) <= self.epsilon
 
 
 def _relative_error(x, truth):
@@ -280,7 +275,9 @@ class AlgorithmConfig:
     """Which solver to run and with what parameters.
 
     ``gamma`` applies to the dynamic-selection solvers, ``n_select`` to
-    gOMP only (default min(2, k-1) indices per iteration).
+    gOMP only (default min(2, k-1) indices per iteration) and
+    ``reset_support`` to EDOMP only; either one set for another solver
+    is rejected.
     ``max_iterations`` overrides the default budget (the sparsity level
     for the support-growing solvers, 500 for CoSaMP/SP).
     """
@@ -301,6 +298,10 @@ class AlgorithmConfig:
             raise ValueError(f"sparsity k must be at least 1, got {self.k}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.n_select is not None and self.algorithm != "gomp":
+            raise ValueError(f"n_select (indices per iteration) applies to gomp only, not {self.algorithm}")
+        if self.reset_support and self.algorithm != "edomp":
+            raise ValueError(f"reset_support applies to edomp only, not {self.algorithm}")
         if self.algorithm == "gomp":
             if self.n_select is None:
                 if self.k < 2:
@@ -358,18 +359,25 @@ def _trace_entry(state):
     )
 
 
-def _validated(A, y, config):
-    """The one input check of every solver: (A, y) as float arrays."""
+def _validated(A, y, config, truth):
+    """The one input check of every solver: A, y and the ground truth
+    (optional, except under a relative-error rule) as float arrays."""
     if not isinstance(config, AlgorithmConfig):
         raise ValueError("config must be an AlgorithmConfig")
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
         raise ValueError("A must be m x n and y length m")
-    linalg._require_finite(A, y)
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (A.shape[1],):
+            raise ValueError(f"truth must be a vector of length n={A.shape[1]}, got shape {truth.shape}")
+    elif config.stopping is not None and config.stopping.kind == "relative-error":
+        raise ValueError("relative-error rule needs the ground truth")
+    linalg._require_finite(A, y, *([] if truth is None else [truth]))
     if config.k > A.shape[1]:
         raise ValueError(f"sparsity k={config.k} exceeds the n={A.shape[1]} columns of A")
-    return A, y
+    return A, y, truth
 
 
 def _stalled(previous, state):
@@ -407,22 +415,24 @@ def _step(config, A, y):
     return lambda s: _stalled(s, edomp_step(s, A, y, k, gamma, config.reset_support))
 
 
-def iterate(A, y, config):
+def iterate(A, y, config, truth=None):
     """Run the configured solver on (A, y), yielding each state.
 
     The zero iterate comes first, then one state per accepted step.  The
     generator returns the termination reason (see the module docstring).
-    Non-finite A or y, mismatched shapes and k > n raise ValueError before
-    the first state.
+    ``truth`` is the ground truth that a relative-error rule compares with;
+    that rule requires it.  Non-finite A, y or truth, mismatched shapes
+    (truth must have length n) and k > n raise ValueError before the first
+    state.
     """
-    A, y = _validated(A, y, config)
+    A, y, truth = _validated(A, y, config, truth)
     step = _step(config, A, y)
     budget = _budget(config)
     state = initial_state(A, y)
     zero_scale = np.abs(state.r).max() if y.any() else 0.0
     yield state
     while True:
-        if config.stopping is not None and config.stopping.satisfied(state):
+        if config.stopping is not None and config.stopping.satisfied(state, truth):
             return config.stopping.kind
         if np.abs(state.r).max() <= config.tolerance * zero_scale:
             return "global-optimum"
@@ -442,14 +452,14 @@ def iterate(A, y, config):
 def run(A, y, config, truth=None, success_threshold=1e-5):
     """Run the configured solver on (A, y) and report the full trace.
 
-    Deterministic given its inputs.  When a ground truth is available
-    (either here or inside a relative-error stopping rule) the report
-    carries the relative error and a success flag at ``success_threshold``.
-    Raises ValueError on invalid input (see :func:`iterate`) and warns
-    when k is not below m.
+    Deterministic given its inputs.  ``truth`` goes to :func:`iterate`,
+    which checks it and stops a relative-error rule on it; when it is
+    given, the report carries the relative error and a success flag at
+    ``success_threshold``.  Raises ValueError on invalid input (see
+    :func:`iterate`) and warns when k is not below m.
     """
     started = time.perf_counter()
-    states = iterate(A, y, config)
+    states = iterate(A, y, config, truth)
     state = next(states)
     m = np.shape(y)[0]
     if config.k >= m:
@@ -469,10 +479,8 @@ def run(A, y, config, truth=None, success_threshold=1e-5):
         trace.append(_trace_entry(state))
     success = None
     rel = None
-    if truth is None and config.stopping is not None and config.stopping.truth is not None:
-        truth = config.stopping.truth
     if truth is not None:
-        rel = _relative_error(state.x, np.asarray(truth, dtype=float))
+        rel = _relative_error(state.x, truth)
         success = rel <= success_threshold
     return AlgorithmReport(
         algorithm=config.algorithm,

@@ -117,9 +117,9 @@ class TrialOutcome:
 
 def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
     """Run one recovery and score it against the target."""
-    stopping = StoppingRule.relative_error(threshold, truth)
+    stopping = StoppingRule.relative_error(threshold)
     config = AlgorithmConfig(algorithm, k=k, gamma=gamma, stopping=stopping, max_iterations=budget)
-    report = run(A, y, config, success_threshold=threshold)
+    report = run(A, y, config, truth=truth, success_threshold=threshold)
     support_match = bool(
         np.array_equal(top_q_indices(report.x, k), top_q_indices(truth, k))
     )

@@ -18,7 +18,6 @@ is no hidden entropy.  Estimates in JSON use 1-based index:value pairs.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,6 +33,14 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 PRESETS = ("desk", "full")
+
+# Each --stop kind: the StoppingRule factory that takes its value.
+_STOP_RULES = {
+    "max-iters": StoppingRule.max_iterations,
+    "residual": StoppingRule.measurement_residual,
+    "gradient": StoppingRule.gradient_residual,
+    "relerr": StoppingRule.relative_error,
+}
 
 
 class UsageError(ValueError):
@@ -223,42 +230,21 @@ def _emit(text, path):
             fh.write(text)
 
 
-def _check_stop_syntax(text, has_truth):
-    """Validate the --stop flag before any file is read.
+def _stop_rule(text):
+    """The StoppingRule that a --stop value kind:value names, or None.
 
-    Returns (kind, value) or None.
+    The kind picks the factory; the rule itself checks the value.
     """
     if text is None:
         return None
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise UsageError(f"stopping rule needs the form kind:value, got {text!r}")
-    if head not in ("max-iters", "residual", "gradient", "relerr"):
-        raise UsageError(f"unknown stopping rule kind {head!r}")
+    kind, _, value = text.partition(":")
+    if kind not in _STOP_RULES:
+        raise UsageError(f"stopping rule needs the form kind:value with kind one of "
+                         f"{', '.join(_STOP_RULES)}, got {text!r}")
     try:
-        value = int(tail) if head == "max-iters" else float(tail)
+        return _STOP_RULES[kind](value)
     except ValueError as exc:
-        raise UsageError(f"bad stopping rule value in {text!r}: {exc}") from exc
-    if head == "max-iters" and value < 0:
-        raise UsageError("max-iters stopping rule needs a nonnegative count")
-    if head != "max-iters" and value < 0:
-        raise UsageError("stopping rule thresholds must be nonnegative")
-    if head == "relerr" and not has_truth:
-        raise UsageError("relerr stopping rule needs --truth")
-    return head, value
-
-
-def _build_stop(parsed, truth):
-    if parsed is None:
-        return None
-    head, value = parsed
-    if head == "max-iters":
-        return StoppingRule.max_iterations(value)
-    if head == "residual":
-        return StoppingRule.measurement_residual(value)
-    if head == "gradient":
-        return StoppingRule.gradient_residual(value)
-    return StoppingRule.relative_error(value, truth)
+        raise UsageError(f"bad stopping rule {text!r}: {exc}") from exc
 
 
 def _sparse_estimate(x):
@@ -270,9 +256,11 @@ def _sparse_estimate(x):
 
 def _cmd_recover(args):
     # Flags are checked before any file is read: a bad flag beats a bad file.
+    stopping = _stop_rule(args.stop)
+    if stopping is not None and stopping.kind == "relative-error" and args.truth is None:
+        raise UsageError("relerr stopping rule needs --truth")
     config = AlgorithmConfig(args.algo, k=args.sparsity, gamma=args.gamma, n_select=args.gomp_n,
-                             reset_support=args.reset_support)
-    stop_parsed = _check_stop_syntax(args.stop, args.truth is not None)
+                             stopping=stopping, reset_support=args.reset_support)
 
     A = linalg.load_matrix(args.matrix)
     y = linalg.load_vector(args.measurements)
@@ -288,7 +276,6 @@ def _cmd_recover(args):
                 args.truth, 1, f"truth length {truth.size} does not match {A.shape[1]} columns"
             )
 
-    config = replace(config, stopping=_build_stop(stop_parsed, truth))
     report = run(A, y, config, truth=truth)
     payload = {
         "algorithm": report.algorithm,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dompkit import linalg
+from dompkit import algorithms, linalg
 from dompkit.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
@@ -129,7 +129,8 @@ def test_domp_monte_carlo_success_rate():
         report = run(
             A,
             y,
-            AlgorithmConfig("domp", k=10, gamma=0.9, stopping=StoppingRule.relative_error(1e-5, x)),
+            AlgorithmConfig("domp", k=10, gamma=0.9, stopping=StoppingRule.relative_error(1e-5)),
+            truth=x,
         )
         successes += bool(report.success)
     assert successes >= 95
@@ -202,9 +203,9 @@ def test_edomp_monte_carlo_tracks_domp():
     for trial in range(100):
         rng = np.random.default_rng(4000 + trial)
         A, x, y = random_sparse_problem(rng, 100, 400, 10, scale=True)
-        rule = StoppingRule.relative_error(1e-5, x)
-        domp_hits += bool(run(A, y, AlgorithmConfig("domp", k=10, stopping=rule)).success)
-        edomp_hits += bool(run(A, y, AlgorithmConfig("edomp", k=10, stopping=rule)).success)
+        rule = StoppingRule.relative_error(1e-5)
+        domp_hits += bool(run(A, y, AlgorithmConfig("domp", k=10, stopping=rule), truth=x).success)
+        edomp_hits += bool(run(A, y, AlgorithmConfig("edomp", k=10, stopping=rule), truth=x).success)
     assert edomp_hits >= domp_hits - 5
 
 
@@ -245,12 +246,12 @@ def test_gomp_monte_carlo_comparable_to_omp():
     for trial in range(trials):
         rng = np.random.default_rng(5000 + trial)
         A, x, y = random_sparse_problem(rng, 50, 200, 6)
-        rule = StoppingRule.relative_error(1e-5, x)
+        rule = StoppingRule.relative_error(1e-5)
         omp_hits += bool(
-            run(A, y, AlgorithmConfig("omp", k=6, stopping=rule, max_iterations=12)).success
+            run(A, y, AlgorithmConfig("omp", k=6, stopping=rule, max_iterations=12), truth=x).success
         )
         gomp_hits += bool(
-            run(A, y, AlgorithmConfig("gomp", k=6, n_select=2, stopping=rule, max_iterations=6)).success
+            run(A, y, AlgorithmConfig("gomp", k=6, n_select=2, stopping=rule, max_iterations=6), truth=x).success
         )
     p = max(omp_hits, gomp_hits) / trials
     noise = 4 * np.sqrt(2 * p * (1 - p) / trials) + 1 / trials
@@ -279,8 +280,8 @@ def test_cosamp_monte_carlo_success_rate():
     for trial in range(100):
         rng = np.random.default_rng(6000 + trial)
         A, x, y = random_sparse_problem(rng, 100, 400, 10, scale=True)
-        rule = StoppingRule.relative_error(1e-5, x)
-        hits += bool(run(A, y, AlgorithmConfig("cosamp", k=10, stopping=rule)).success)
+        rule = StoppingRule.relative_error(1e-5)
+        hits += bool(run(A, y, AlgorithmConfig("cosamp", k=10, stopping=rule), truth=x).success)
     assert hits >= 90
 
 
@@ -298,8 +299,8 @@ def test_sp_monte_carlo_success_rate():
     for trial in range(100):
         rng = np.random.default_rng(7000 + trial)
         A, x, y = random_sparse_problem(rng, 100, 400, 10, scale=True)
-        rule = StoppingRule.relative_error(1e-5, x)
-        hits += bool(run(A, y, AlgorithmConfig("sp", k=10, stopping=rule)).success)
+        rule = StoppingRule.relative_error(1e-5)
+        hits += bool(run(A, y, AlgorithmConfig("sp", k=10, stopping=rule), truth=x).success)
     assert hits >= 90
 
 
@@ -340,7 +341,7 @@ def test_run_gradient_rule_zero_measurements():
 def test_run_domp_relative_error_rule():
     rng = np.random.default_rng(11)
     A, x, y = random_sparse_problem(rng, 60, 240, 6, scale=True)
-    report = run(A, y, AlgorithmConfig("domp", k=6, stopping=StoppingRule.relative_error(1e-5, x)))
+    report = run(A, y, AlgorithmConfig("domp", k=6, stopping=StoppingRule.relative_error(1e-5)), truth=x)
     assert report.success
     assert report.iterations <= 6
     assert report.termination == "relative-error"
@@ -391,8 +392,40 @@ def test_config_validation():
         AlgorithmConfig("domp", k=3, gamma=0.0)
     with pytest.raises(ValueError):
         AlgorithmConfig("gomp", k=3, n_select=3)
-    with pytest.raises(ValueError):
-        StoppingRule("relative-error", epsilon=1e-5)
+    # settings another solver ignores
+    for algorithm in ("omp", "domp", "edomp", "cosamp", "sp"):
+        with pytest.raises(ValueError, match="n_select"):
+            AlgorithmConfig(algorithm, k=3, n_select=1)
+    for algorithm in ("omp", "gomp", "domp", "cosamp", "sp"):
+        with pytest.raises(ValueError, match="reset_support"):
+            AlgorithmConfig(algorithm, k=3, reset_support=True)
+    # a relative-error rule without the ground truth is rejected by the run
+    rng = np.random.default_rng(14)
+    A, x, y = random_sparse_problem(rng, 10, 20, 2)
+    with pytest.raises(ValueError, match="ground truth"):
+        run(A, y, AlgorithmConfig("domp", k=2, stopping=StoppingRule.relative_error(1e-5)))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("truth", ["length-one", "length-n-minus-one", "nan"])
+def test_run_rejects_bad_truth_before_the_first_step(monkeypatch, algorithm, truth):
+    rng = np.random.default_rng(15)
+    A, x, y = random_sparse_problem(rng, 20, 50, 5)
+    truth = {"length-one": [0.0], "length-n-minus-one": x[:49], "nan": np.where(x != 0, np.nan, 0.0)}[truth]
+    started = []
+    monkeypatch.setattr(algorithms, "initial_state", lambda *args: started.append(args))
+    config = AlgorithmConfig(algorithm, 5, stopping=StoppingRule.relative_error(1e-5))
+    with pytest.raises(ValueError, match="truth|NaN"):
+        run(A, y, config, truth=truth)
+    assert started == []
+
+
+def test_configs_with_relative_error_rules_compare_and_hash():
+    first = AlgorithmConfig("domp", k=5, stopping=StoppingRule.relative_error(1e-5))
+    second = AlgorithmConfig("domp", k=5, stopping=StoppingRule.relative_error(1e-5))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, AlgorithmConfig("domp", k=5)}) == 2
 
 
 def test_optimality_and_monotonicity_invariants():

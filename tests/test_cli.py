@@ -369,6 +369,14 @@ RECOVER = ["recover", "--measurements", "{y}", "--algo", "omp"]
         # unreadable or malformed files are data errors
         (3, [*RECOVER, "--matrix", "{missing}", "--sparsity", "1"]),
         (3, [*RECOVER, "--matrix", "{bad}", "--sparsity", "1"]),
+        # a bad --stop value is reported before a bad file
+        (2, [*RECOVER, "--matrix", "{missing}", "--sparsity", "1", "--stop", "residual:nan"]),
+        (2, [*RECOVER, "--matrix", "{missing}", "--sparsity", "1", "--truth", "{y}", "--stop", "relerr:nan"]),
+        # a setting the chosen solver does not take
+        (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "3", "--gomp-n", "3"]),
+        (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--algo", "domp", "--reset-support"]),
+        (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--algo", "cosamp", "--gomp-n", "1",
+             "--reset-support"]),
     ],
 )
 def test_exit_code_table(exit_code_files, capsys, code, argv):
