@@ -37,6 +37,7 @@ __all__ = [
     "ALGORITHMS",
     "AlgorithmConfig",
     "AlgorithmReport",
+    "DYNAMIC_SOLVERS",
     "IterateState",
     "StoppingRule",
     "TraceEntry",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("omp", "gomp", "domp", "edomp", "cosamp", "sp")
+# The solvers that read the selection threshold gamma.
+DYNAMIC_SOLVERS = ("domp", "edomp")
 
 # Gradient residuals below this fraction of ||A^T y||_inf are treated as
 # zero so noise-floor indices are never selected.
@@ -274,17 +277,17 @@ def _relative_error(x, truth):
 class AlgorithmConfig:
     """Which solver to run and with what parameters.
 
-    ``gamma`` applies to the dynamic-selection solvers, ``n_select`` to
-    gOMP only (default min(2, k-1) indices per iteration) and
-    ``reset_support`` to EDOMP only; either one set for another solver
-    is rejected.
+    ``gamma`` applies to the dynamic-selection solvers only (default
+    0.9), ``n_select`` to gOMP only (default min(2, k-1) indices per
+    iteration) and ``reset_support`` to EDOMP only; any of them set for
+    another solver is rejected.
     ``max_iterations`` overrides the default budget (the sparsity level
     for the support-growing solvers, 500 for CoSaMP/SP).
     """
 
     algorithm: str
     k: int
-    gamma: float = 0.9
+    gamma: float | None = None
     n_select: int | None = None
     stopping: StoppingRule | None = None
     max_iterations: int | None = None
@@ -296,8 +299,13 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}")
         if self.k < 1:
             raise ValueError(f"sparsity k must be at least 1, got {self.k}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.algorithm in DYNAMIC_SOLVERS:
+            if self.gamma is None:
+                object.__setattr__(self, "gamma", 0.9)
+            if not 0.0 < self.gamma <= 1.0:
+                raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        elif self.gamma is not None:
+            raise ValueError(f"gamma (selection threshold) applies to domp and edomp only, not {self.algorithm}")
         if self.n_select is not None and self.algorithm != "gomp":
             raise ValueError(f"n_select (indices per iteration) applies to gomp only, not {self.algorithm}")
         if self.reset_support and self.algorithm != "edomp":

@@ -24,7 +24,7 @@ from statistics import median
 import numpy as np
 
 from . import __version__
-from .algorithms import AlgorithmConfig, StoppingRule, run
+from .algorithms import DYNAMIC_SOLVERS, AlgorithmConfig, StoppingRule, run
 from .linalg import top_q_indices
 
 __all__ = [
@@ -115,10 +115,16 @@ class TrialOutcome:
     wall_time: float
 
 
+def _config(algorithm, k, gamma, budget, **extra):
+    """A grid cell's solver configuration: gamma goes to the solvers that read it."""
+    gamma = gamma if algorithm in DYNAMIC_SOLVERS else None
+    return AlgorithmConfig(algorithm, k=k, gamma=gamma, max_iterations=budget, **extra)
+
+
 def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
     """Run one recovery and score it against the target."""
     stopping = StoppingRule.relative_error(threshold)
-    config = AlgorithmConfig(algorithm, k=k, gamma=gamma, stopping=stopping, max_iterations=budget)
+    config = _config(algorithm, k, gamma, budget, stopping=stopping)
     report = run(A, y, config, truth=truth, success_threshold=threshold)
     support_match = bool(
         np.array_equal(top_q_indices(report.x, k), top_q_indices(truth, k))
@@ -226,7 +232,7 @@ def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
     items = [(spec, t) for spec in specs for t in range(trials)]
     for spec in specs:
         for alg, g in keys:
-            AlgorithmConfig(alg, k=spec.k, gamma=g, max_iterations=budget(spec))
+            _config(alg, spec.k, g, budget(spec))
 
     def task(item):
         spec, t = item

@@ -176,7 +176,8 @@ def build_parser():
     rec.add_argument("--measurements", required=True, help="vector file: 'n' header then n numbers")
     rec.add_argument("--sparsity", required=True, type=_positive_int, help="target sparsity k")
     rec.add_argument("--algo", required=True, help=f"one of {', '.join(ALGORITHMS)}")
-    rec.add_argument("--gamma", type=float, default=0.9, help="selection threshold in (0, 1]")
+    rec.add_argument("--gamma", type=float, default=None,
+                     help="selection threshold in (0, 1] for domp/edomp (default 0.9)")
     rec.add_argument("--gomp-n", type=_positive_int, default=None, help="indices per gOMP iteration")
     rec.add_argument(
         "--stop",

@@ -2,13 +2,15 @@
 
 Selection operators (largest-magnitude index sets, hard thresholding),
 least squares restricted to a column support, the ridge-on-a-subset
-variant used by the verification suites, spectral norm by power
-iteration, and the plain-text matrix/vector file format shared with the
-CLI.
+variant used by the verification suites, the spectral norm, and the
+plain-text matrix/vector file format shared with the CLI (one streaming
+reader serves both file kinds).
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
 """
+
+import math
 
 import numpy as np
 
@@ -206,42 +208,13 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     return x
 
 
-def spectral_norm(A, tol=1e-10, max_iterations=100_000):
-    """Largest singular value of ``A`` via power iteration on A^T A.
-
-    The iteration stops once the eigenvalue estimate is stationary well
-    below ``tol`` in relative terms, so the returned value is accurate to
-    about ``tol`` even for clustered spectra.
-    """
+def spectral_norm(A):
+    """Largest singular value of ``A``, 0.0 for an empty matrix."""
     A = _as_matrix(A)
     _require_finite(A)
-    if A.size == 0 or not A.any():
+    if A.size == 0:
         return 0.0
-    n = A.shape[1]
-    # Deterministic start; reseed in the (measure-zero) event the start
-    # vector lies in the null space.
-    for seed in range(3):
-        v = np.random.default_rng(0x5EED + seed).standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v /= nv
-        lam = 0.0
-        for _ in range(max_iterations):
-            w = A.T @ (A @ v)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                lam = 0.0
-                break
-            v = w / nw
-            lam_new = float(v @ (A.T @ (A @ v)))
-            if abs(lam_new - lam) <= 1e-3 * tol * max(lam_new, np.finfo(float).tiny):
-                lam = lam_new
-                break
-            lam = lam_new
-        if lam > 0:
-            return float(np.sqrt(lam))
-    return 0.0
+    return float(np.linalg.norm(A, 2))
 
 
 class _QRBuffer:
@@ -377,6 +350,31 @@ class FileFormatError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
+def _records(path, header):
+    """Stream a matrix or vector file whose first line holds the integers
+    named in ``header`` ("m n" or "n").
+
+    Yields the header's integers as a tuple, then (1-based line number,
+    tokens) for each nonblank line after it, reading one line at a time.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline().rstrip("\n")
+        tokens = line.split()
+        if not tokens:
+            raise FileFormatError(path, 1, f"expected header line {header!r}")
+        if len(tokens) != len(header.split()):
+            raise FileFormatError(path, 1, f"expected header {header!r}, got {line!r}")
+        try:
+            dims = tuple(int(tok) for tok in tokens)
+        except ValueError:
+            raise FileFormatError(path, 1, f"expected integer header {header!r}, got {line!r}") from None
+        yield dims
+        for line_no, line in enumerate(fh, start=2):
+            tokens = line.split()
+            if tokens:
+                yield line_no, tokens
+
+
 def _parse_floats(tokens, path, line_no):
     values = []
     for tok in tokens:
@@ -384,7 +382,7 @@ def _parse_floats(tokens, path, line_no):
             val = float(tok)
         except ValueError:
             raise FileFormatError(path, line_no, f"not a number: {tok!r}") from None
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise FileFormatError(path, line_no, f"non-finite value: {tok!r}")
         values.append(val)
     return values
@@ -392,26 +390,13 @@ def _parse_floats(tokens, path, line_no):
 
 def load_matrix(path):
     """Read a dense matrix: first line "m n", then m rows of n numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].split():
-        raise FileFormatError(path, 1, "expected header line 'm n'")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FileFormatError(path, 1, f"expected header 'm n', got {lines[0]!r}")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise FileFormatError(path, 1, f"expected integer dimensions, got {lines[0]!r}") from None
+    records = _records(path, "m n")
+    m, n = next(records)
     if m < 1 or n < 1:
         raise FileFormatError(path, 1, f"dimensions must be positive, got {m} x {n}")
     rows = []
     line_no = 1
-    for raw in lines[1:]:
-        line_no += 1
-        tokens = raw.split()
-        if not tokens:
-            continue
+    for line_no, tokens in records:
         if len(rows) == m:
             raise FileFormatError(path, line_no, f"expected exactly {m} rows")
         if len(tokens) != n:
@@ -424,26 +409,13 @@ def load_matrix(path):
 
 def load_vector(path):
     """Read a vector: first line "n", then n whitespace-separated numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].split():
-        raise FileFormatError(path, 1, "expected header line 'n'")
-    header = lines[0].split()
-    if len(header) != 1:
-        raise FileFormatError(path, 1, f"expected header 'n', got {lines[0]!r}")
-    try:
-        n = int(header[0])
-    except ValueError:
-        raise FileFormatError(path, 1, f"expected integer length, got {lines[0]!r}") from None
+    records = _records(path, "n")
+    (n,) = next(records)
     if n < 0:
         raise FileFormatError(path, 1, f"length must be nonnegative, got {n}")
     values = []
     line_no = 1
-    for raw in lines[1:]:
-        line_no += 1
-        tokens = raw.split()
-        if not tokens:
-            continue
+    for line_no, tokens in records:
         if len(values) + len(tokens) > n:
             raise FileFormatError(path, line_no, f"expected exactly {n} entries")
         values.extend(_parse_floats(tokens, path, line_no))

@@ -399,6 +399,11 @@ def test_config_validation():
     for algorithm in ("omp", "gomp", "domp", "cosamp", "sp"):
         with pytest.raises(ValueError, match="reset_support"):
             AlgorithmConfig(algorithm, k=3, reset_support=True)
+    for algorithm in ("omp", "gomp", "cosamp", "sp"):
+        with pytest.raises(ValueError, match="gamma"):
+            AlgorithmConfig(algorithm, k=3, gamma=0.3)
+        assert AlgorithmConfig(algorithm, k=3).gamma is None
+    assert AlgorithmConfig("domp", k=3).gamma == AlgorithmConfig("edomp", k=3).gamma == 0.9
     # a relative-error rule without the ground truth is rejected by the run
     rng = np.random.default_rng(14)
     A, x, y = random_sparse_problem(rng, 10, 20, 2)
@@ -435,7 +440,8 @@ def test_optimality_and_monotonicity_invariants():
             A, x, y = random_sparse_problem(rng, 40, 160, 8)
             scale = 1e-7 * (1 + np.abs(A.T @ y).max())
             config = AlgorithmConfig(
-                algorithm, k=8, gamma=0.8, n_select=2 if algorithm == "gomp" else None
+                algorithm, k=8, gamma=0.8 if algorithm == "domp" else None,
+                n_select=2 if algorithm == "gomp" else None,
             )
             report = run(A, y, config, truth=x)
             state = initial_state(A, y)

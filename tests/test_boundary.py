@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dompkit import linalg
-from dompkit.algorithms import ALGORITHMS, AlgorithmConfig, iterate, run
+from dompkit.algorithms import ALGORITHMS, DYNAMIC_SOLVERS, AlgorithmConfig, iterate, run
 
 
 def _problem(seed, m, n, k):
@@ -45,6 +45,11 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _gamma(algorithm, gamma):
+    """gamma for the solvers that read it, None for the others."""
+    return gamma if algorithm in DYNAMIC_SOLVERS else None
+
+
 # (algorithm, m, n, k, gamma, seed, what the run must go through)
 RUNS = [
     ("omp", 20, 60, 9, 0.9, 0, "any"),
@@ -63,7 +68,7 @@ def test_one_finiteness_scan_per_run(monkeypatch, algorithm, m, n, k, gamma, see
     solves = _count_calls(monkeypatch, "_restricted_ls")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = run(A, y, AlgorithmConfig(algorithm, k, gamma=gamma))
+        report = run(A, y, AlgorithmConfig(algorithm, k, gamma=_gamma(algorithm, gamma)))
     assert len(scans) == 1
     sizes = [entry.support_size for entry in report.trace]
     if path == "cosamp-cap":
@@ -106,7 +111,8 @@ def test_solvers_finite_or_value_error_and_core_matches_public(problem):
     for algorithm in ALGORITHMS:
         if algorithm == "gomp" and k < 2:
             continue
-        config = AlgorithmConfig(algorithm, k, gamma=gamma, n_select=1 if algorithm == "gomp" else None)
+        config = AlgorithmConfig(algorithm, k, gamma=_gamma(algorithm, gamma),
+                                 n_select=1 if algorithm == "gomp" else None)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -142,7 +148,7 @@ def test_growing_solver_iterates_are_least_squares_on_their_support(problem):
     for algorithm in ("omp", "gomp", "domp"):
         if algorithm == "gomp" and k < 2:
             continue
-        config = AlgorithmConfig(algorithm, k, gamma=gamma,
+        config = AlgorithmConfig(algorithm, k, gamma=_gamma(algorithm, gamma),
                                  n_select=min(2, k - 1) if algorithm == "gomp" else None)
         for state in _states(A, y, config)[0][1:]:
             fresh = linalg.restricted_least_squares(A, y, state.support)

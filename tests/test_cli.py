@@ -377,6 +377,8 @@ RECOVER = ["recover", "--measurements", "{y}", "--algo", "omp"]
         (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--algo", "domp", "--reset-support"]),
         (2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--algo", "cosamp", "--gomp-n", "1",
              "--reset-support"]),
+        *[(2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "2", "--algo", algo, "--gamma", "0.3"])
+          for algo in ("omp", "gomp", "cosamp", "sp")],
     ],
 )
 def test_exit_code_table(exit_code_files, capsys, code, argv):

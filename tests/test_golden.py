@@ -1,4 +1,4 @@
-"""Golden outputs of the sweeps and of the six verification suites.
+"""Golden outputs of the sweeps, the six verification suites, recover and ric.
 
 Each command below runs on a tiny grid with a fixed seed.  Its output was
 recorded under ``tests/data/golden/`` before the solvers moved onto one
@@ -7,7 +7,10 @@ theta and ric-monotone reports: before the suites moved onto one
 driver), so these tests pin that each refactor kept every byte.  Sweep
 CSVs and provenance sidecars are compared byte for byte; verify reports
 field by field, exactly except ``min_slack`` (relative 1e-9, far above
-BLAS reordering noise).
+BLAS reordering noise).  The ``recover`` reports of all six solvers and
+the ``ric`` reports read their inputs from text files written with
+``save_matrix``/``save_vector``; they were recorded before the matrix
+and vector readers shared one reader and are compared byte for byte.
 
 Re-record only for an intended change of output:
 
@@ -16,11 +19,15 @@ Re-record only for an intended change of output:
 
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dompkit import linalg
 from dompkit.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -57,6 +64,45 @@ VERIFY = {
     "verify-ric-monotone": ["verify", "--suite", "ric-monotone", "--trials", "5", "--seed", "3"],
 }
 
+# recover and ric: argv with {A}, {y} and {x} for the input files.
+RECOVER = {f"recover-{algo}": ["recover", "--matrix", "{A}", "--measurements", "{y}",
+                                "--truth", "{x}", "--sparsity", "4", "--algo", algo]
+           for algo in ALL.split(",")}
+RIC = {
+    "ric-order-2": ["ric", "--matrix", "{A}", "--order", "2"],
+    "ric-highest": ["ric", "--matrix", "{A}", "--highest"],
+}
+
+
+def _write_inputs(name):
+    """Write the inputs of a recover or ric command to the working
+    directory; return their relative paths (ric reports its matrix path)."""
+    rng = np.random.default_rng(29)
+    if name in RIC:
+        linalg.save_matrix("A.txt", rng.standard_normal((16, 12)) / np.sqrt(16))
+        return {"A": "A.txt"}
+    A = rng.standard_normal((24, 60))
+    x = np.zeros(60)
+    x[rng.choice(60, size=4, replace=False)] = rng.standard_normal(4)
+    linalg.save_matrix("A.txt", A)
+    linalg.save_vector("y.txt", A @ x + 1e-3 * rng.standard_normal(24))
+    linalg.save_vector("x.txt", x)
+    return {"A": "A.txt", "y": "y.txt", "x": "x.txt"}
+
+
+def _run_file_command(name, out):
+    """Run a recover or ric command in a fresh working directory."""
+    argv = {**RECOVER, **RIC}[name]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            paths = _write_inputs(name)
+            assert main([arg.format(**paths) for arg in argv] + ["--output", str(out)]) == 0
+        finally:
+            os.chdir(here)
+    return out
+
 
 def _run_sweep(name, directory):
     out = Path(directory) / f"{name}.csv"
@@ -88,10 +134,18 @@ def test_verify_matches_golden(name, tmp_path):
         assert math.isclose(slack, want_slack, rel_tol=1e-9, abs_tol=0.0)
 
 
+@pytest.mark.parametrize("name", [*RECOVER, *RIC])
+def test_file_command_matches_golden(name, tmp_path):
+    out = _run_file_command(name, tmp_path / f"{name}.json")
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in SWEEPS:
         _run_sweep(name, GOLDEN)
     for name in VERIFY:
         _run_verify(name, GOLDEN)
+    for name in [*RECOVER, *RIC]:
+        _run_file_command(name, (GOLDEN / f"{name}.json").resolve())
     sys.exit(0)

@@ -274,6 +274,17 @@ def test_spectral_norm_matches_svd_oracle():
         assert abs(linalg.spectral_norm(A) - oracle) <= 1e-8 * oracle
 
 
+def test_spectral_norm_resolves_clustered_top_singular_values():
+    # The top two singular values are 1e-6 apart.
+    rng = np.random.default_rng(24)
+    U = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    V = np.linalg.qr(rng.standard_normal((60, 40)))[0]
+    s = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 38)])
+    A = (U * s) @ V.T
+    oracle = np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(linalg.spectral_norm(A) - oracle) <= 1e-12 * oracle
+
+
 def test_spectral_norm_dominates_column_norms():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -378,6 +389,15 @@ def test_vector_file_multiline(tmp_path):
     assert linalg.load_vector(path).tolist() == [1, 2, 3, 4, 5]
 
 
+def test_files_with_blank_lines(tmp_path):
+    matrix = tmp_path / "mat.txt"
+    matrix.write_text("2 3\n\n1 2 3\n\n\n4 5 6\n\n")
+    assert linalg.load_matrix(matrix).tolist() == [[1, 2, 3], [4, 5, 6]]
+    vector = tmp_path / "vec.txt"
+    vector.write_text("4\n\n1\n\n\n2 3\n4\n\n")
+    assert linalg.load_vector(vector).tolist() == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize(
     "content,line",
     [
@@ -387,6 +407,9 @@ def test_vector_file_multiline(tmp_path):
         ("3\n1 inf 3\n", 2),
         ("x\n1\n", 1),
         ("3\n1 2\n", 2),
+        # a bad token after blank lines is reported at its own line
+        ("3\n\n1\n\nnan 2\n", 5),
+        ("3\n1\n\n\n2 x\n", 5),
     ],
 )
 def test_vector_file_errors(tmp_path, content, line):
@@ -407,6 +430,8 @@ def test_vector_file_errors(tmp_path, content, line):
         ("2 2\n1 2\n", 2),
         ("1 2\n1 2\n3 4\n", 3),
         ("0 2\n", 1),
+        ("2 2\n\n1 2\n\n3 x\n", 5),
+        ("2 2\n1 2\n\n\n3 inf\n", 5),
     ],
 )
 def test_matrix_file_errors(tmp_path, content, line):
