@@ -16,13 +16,14 @@ supports are re-projected in O(m t) per added column; the factorization
 falls back to a from-scratch minimum-norm solve when it goes degenerate.
 
 Termination reasons, tested in this order before each step: the stopping
-rule's kind, "global-optimum" on a numerically zero gradient residual,
-"iteration-cap" once the budget is spent.  A step can end the run too:
-"global-optimum" when the growing solvers find nothing left to select,
-"stalled" when a growing solver's step changes neither support nor
-estimate, and "residual-increase" when a subspace-pursuit step would not
-lower the measurement residual (the step is rejected).  CoSaMP has no
-stall or residual test and runs to its budget.
+rule's kind, "global-optimum" on a numerically zero gradient residual
+(which covers a solver with nothing left to select, so no step is taken
+on a zero gradient), "iteration-cap" once the budget is spent.  A step
+can end the run too: "stalled" when a growing solver's step changes
+neither support nor estimate, and "residual-increase" when a
+subspace-pursuit step would not lower the measurement residual (the step
+is rejected).  CoSaMP has no stall or residual test and runs to its
+budget.
 """
 
 import time
@@ -291,7 +292,6 @@ class AlgorithmConfig:
     n_select: int | None = None
     stopping: StoppingRule | None = None
     max_iterations: int | None = None
-    tolerance: float = ZERO_RESIDUAL_RTOL
     reset_support: bool = False
 
     def __post_init__(self):
@@ -319,8 +319,6 @@ class AlgorithmConfig:
                 raise ValueError(f"gOMP needs 1 <= N < k, got N={self.n_select}, k={self.k}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -442,14 +440,11 @@ def iterate(A, y, config, truth=None):
     while True:
         if config.stopping is not None and config.stopping.satisfied(state, truth):
             return config.stopping.kind
-        if np.abs(state.r).max() <= config.tolerance * zero_scale:
+        if np.abs(state.r).max() <= ZERO_RESIDUAL_RTOL * zero_scale:
             return "global-optimum"
         if state.p >= budget:
             return "iteration-cap"
-        try:
-            following, reason = step(state)
-        except ZeroResidualError:
-            return "global-optimum"
+        following, reason = step(state)
         if following is not None:
             state = following
             yield state

@@ -6,6 +6,13 @@ experiments: selection-threshold sweep, iteration-budget sweep, success
 curves over the sparsity level (noiseless and noisy), and the scaling
 benchmark of iterations-to-recovery and runtime.
 
+The four experiments are declarations on one function, ``_sweep``: each
+names its ensembles, its (algorithm, gamma) grid, its iteration budget,
+the cells it tabulates from one key's outcomes, and its provenance
+fields.  ``_sweep`` draws each trial's problem once, runs every key on
+it, and builds the :class:`SweepResult`, whose CSV header is read off the
+first cell; a grid without cells is rejected before any work.
+
 Trials are embarrassingly parallel: each trial owns its instance, the
 RNG stream is derived from (master seed, instance coordinates, trial
 index), and results are aggregated in task order, so output is identical
@@ -15,7 +22,6 @@ unchanged.
 
 import hashlib
 import json
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -196,61 +202,62 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _provenance(name, spec_fields, **extra):
-    payload = {
-        "command": name,
-        "spec": spec_fields,
-        "version": __version__,
-        **extra,
-    }
-    digest = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
-    payload["build_id"] = digest
-    return payload
-
-
 def _require_distinct(values, axis):
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"the sweep grid repeats {axis} {repeated[0]}")
 
 
-def _run_grid(specs, algorithms, gammas, trials, threads, budget, solve=None):
-    """Outcomes of every (algorithm, gamma) on each trial of each ensemble.
+def _sweep(name, specs, algorithms, gammas, trials, threads, budget, cells, provenance, solve=None):
+    """Run a sweep's grid, tabulate it and record its provenance.
 
-    Each trial's problem is generated once and shared by all its solves;
-    each (algorithm, gamma) runs once per trial with ``budget(spec)``
-    iterations (None: the solver's default).  ``solve`` replaces
-    :func:`run_trial` and may return anything.  Returns one dict per
-    spec, mapping (algorithm, gamma) to the per-trial results.  Every
-    cell's configuration is built before the first problem is drawn, so
-    an invalid grid, or one that repeats a key or an ensemble, raises
-    ValueError without doing any work.
+    Each trial's problem is drawn once and every (algorithm, gamma) runs
+    on it once with ``budget(spec)`` iterations (None: the solver's
+    default).  ``solve`` replaces :func:`run_trial` and may return
+    anything.  ``cells(algorithm, gamma, runs)`` turns the results of one
+    (algorithm, gamma), given as ``runs``, a list of (spec, per-trial
+    results) in spec order, into that key's cells; the CSV header is read
+    off the first cell.  ``provenance`` holds the sweep's own sidecar
+    fields; this adds the command, version, seed, algorithms, trial
+    count and build id.  Every cell's configuration is built before the
+    first problem is drawn, so an empty or invalid grid, or one that
+    repeats a key or an ensemble, raises ValueError without doing any
+    work.
     """
+    algorithms = list(algorithms)
     keys = [(alg, g) for alg in algorithms for g in gammas]
+    if not keys or not specs:
+        raise ValueError("the sweep grid is empty")
     _require_distinct(keys, "(algorithm, gamma)")
     _require_distinct([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
-    items = [(spec, t) for spec in specs for t in range(trials)]
     for spec in specs:
         for alg, g in keys:
             _config(alg, spec.k, g, budget(spec))
+    solve = solve or run_trial
 
     def task(item):
         spec, t = item
         A, x, y = generate_problem(spec, t)
         threshold = crc_threshold(spec.noise_amplitude)
-        fn = run_trial if solve is None else solve
-        return [fn(A, y, x, alg, spec.k, g, budget(spec), threshold) for alg, g in keys]
+        return [solve(A, y, x, alg, spec.k, g, budget(spec), threshold) for alg, g in keys]
 
     # The filter list is process-wide, so it is set once here, around the
     # pool, and not inside the tasks, whose exits would restore each
     # other's state.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        results = _parallel_map(task, items, threads)
-    return [
-        {key: [r[j] for r in results[i * trials:(i + 1) * trials]] for j, key in enumerate(keys)}
-        for i in range(len(specs))
+        results = _parallel_map(task, [(spec, t) for spec in specs for t in range(trials)], threads)
+    rows = [
+        cell
+        for j, (alg, g) in enumerate(keys)
+        for cell in cells(alg, g, [
+            (spec, [r[j] for r in results[i * trials:(i + 1) * trials]]) for i, spec in enumerate(specs)
+        ])
     ]
+    payload = {"command": name, "version": __version__, "seed": specs[0].master_seed,
+               "algorithms": algorithms, "trials": trials, **provenance}
+    payload["build_id"] = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+    return SweepResult(name, list(rows[0].coords), list(rows[0].stats), rows, payload)
 
 
 def _success_stats(outcomes, budget=None):
@@ -277,9 +284,6 @@ def _success_stats(outcomes, budget=None):
     }
 
 
-_SUCCESS_COLUMNS = ("trials", "successes", "success_rate", "mean_iterations")
-
-
 def _ensemble_fields(spec):
     return {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude}
 
@@ -292,30 +296,14 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
     """
     gammas = [float(g) for g in gammas]
     ks = [int(k) for k in ks]
-    algorithms = list(algorithms)
-    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, gammas, trials, threads,
-                     budget=lambda s: s.k)
-    cells = [
-        SweepCell(coords={"algorithm": alg, "gamma": g, "k": k},
-                  stats=_success_stats(grid[i][alg, g]))
-        for alg in algorithms
-        for g in gammas
-        for i, k in enumerate(ks)
-    ]
-    return SweepResult(
-        name="phase-gamma",
-        axes=["algorithm", "gamma", "k"],
-        stat_columns=list(_SUCCESS_COLUMNS),
-        cells=cells,
-        provenance=_provenance(
-            "phase-gamma",
-            _ensemble_fields(spec),
-            seed=spec.master_seed,
-            gammas=gammas,
-            ks=ks,
-            algorithms=algorithms,
-            trials=trials,
-        ),
+    return _sweep(
+        "phase-gamma", [replace(spec, k=k) for k in ks], algorithms, gammas, trials, threads,
+        budget=lambda s: s.k,
+        cells=lambda alg, g, runs: [
+            SweepCell({"algorithm": alg, "gamma": g, "k": s.k}, _success_stats(outcomes))
+            for s, outcomes in runs
+        ],
+        provenance={"spec": _ensemble_fields(spec), "gammas": gammas, "ks": ks},
     )
 
 
@@ -328,32 +316,16 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1)
     budgets = [int(b) for b in budgets]
     _require_distinct(budgets, "budget")
     ks = [int(k) for k in ks]
-    algorithms = list(algorithms)
     top = max(budgets)
-    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
-                     budget=lambda s: top)
-    cells = [
-        SweepCell(coords={"algorithm": alg, "budget": b, "k": k},
-                  stats=_success_stats(grid[i][alg, gamma], b))
-        for alg in algorithms
-        for b in budgets
-        for i, k in enumerate(ks)
-    ]
-    return SweepResult(
-        name="phase-iters",
-        axes=["algorithm", "budget", "k"],
-        stat_columns=list(_SUCCESS_COLUMNS),
-        cells=cells,
-        provenance=_provenance(
-            "phase-iters",
-            _ensemble_fields(spec),
-            seed=spec.master_seed,
-            budgets=budgets,
-            ks=ks,
-            algorithms=algorithms,
-            trials=trials,
-            gamma=gamma,
-        ),
+    return _sweep(
+        "phase-iters", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+        budget=lambda s: top,
+        cells=lambda alg, g, runs: [
+            SweepCell({"algorithm": alg, "budget": b, "k": s.k}, _success_stats(outcomes, b))
+            for b in budgets
+            for s, outcomes in runs
+        ],
+        provenance={"spec": _ensemble_fields(spec), "budgets": budgets, "ks": ks, "gamma": gamma},
     )
 
 
@@ -361,31 +333,35 @@ def success_curves(spec, ks, algorithms, trials, gamma=0.9, threads=1):
     """Success rate versus sparsity level, noiseless or noisy per the spec's
     noise amplitude; the noisy criterion is applied automatically."""
     ks = [int(k) for k in ks]
-    algorithms = list(algorithms)
-    grid = _run_grid([replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
-                     budget=lambda s: None)
-    cells = []
-    for alg in algorithms:
-        for i, k in enumerate(ks):
-            outcomes = grid[i][alg, gamma]
-            stats = _success_stats(outcomes)
-            stats["support_match_rate"] = sum(o.support_match for o in outcomes) / len(outcomes)
-            cells.append(SweepCell(coords={"algorithm": alg, "k": k}, stats=stats))
-    return SweepResult(
-        name="phase-k",
-        axes=["algorithm", "k"],
-        stat_columns=[*_SUCCESS_COLUMNS, "support_match_rate"],
-        cells=cells,
-        provenance=_provenance(
-            "phase-k",
-            _ensemble_fields(spec),
-            seed=spec.master_seed,
-            ks=ks,
-            algorithms=algorithms,
-            trials=trials,
-            gamma=gamma,
-        ),
+    return _sweep(
+        "phase-k", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+        budget=lambda s: None,
+        cells=lambda alg, g, runs: [
+            SweepCell({"algorithm": alg, "k": s.k}, {
+                **_success_stats(outcomes),
+                "support_match_rate": sum(o.support_match for o in outcomes) / len(outcomes),
+            })
+            for s, outcomes in runs
+        ],
+        provenance={"spec": _ensemble_fields(spec), "ks": ks, "gamma": gamma},
     )
+
+
+def _scaling_stats(entries):
+    """Recovery counts, mean iterations over the recovered trials, and
+    the trial mean of each rerun-time statistic."""
+    recovered = [o for o, _, _ in entries if o.success]
+    return {
+        "trials": len(entries),
+        "recovered": len(recovered),
+        "unrecovered": len(entries) - len(recovered),
+        "success_rate": len(recovered) / len(entries) if entries else float("nan"),
+        "mean_iterations": (
+            sum(o.iterations for o in recovered) / len(recovered) if recovered else float("nan")
+        ),
+        "mean_runtime": sum(mean for _, mean, _ in entries) / len(entries),
+        "median3_runtime": sum(med for _, _, med in entries) / len(entries),
+    }
 
 
 def scaling_benchmark(
@@ -405,73 +381,34 @@ def scaling_benchmark(
     n = n_factor * m and k = round(k_ratio * m) per size.  Trials that
     never meet the recovery criterion are counted separately and excluded
     from the mean-iterations statistic.  When timing is enabled each trial
-    performs one warm-up run and three timed runs (mean and median-of-3
-    reported); disabling it zeroes the runtime columns so the CSV is
+    performs one warm-up run and three timed runs, each timed by the run's
+    own clock (``TrialOutcome.wall_time``; mean and median-of-3 reported);
+    disabling it zeroes the runtime columns so the CSV is
     byte-reproducible.
     """
     ms = [int(m) for m in ms]
-    algorithms = list(algorithms)
     specs = [
         EnsembleSpec(m=m, n=n_factor * m, k=max(1, round(k_ratio * m)), master_seed=master_seed,
                      scaling=scaling)
         for m in ms
     ]
 
-    def solve(A, y, x, alg, k, g, budget, threshold):
-        outcome = run_trial(A, y, x, alg, k, g, budget, threshold)
+    def solve(*trial):
+        outcome = run_trial(*trial)
         if not timed:
             return outcome, 0.0, 0.0
-        times = []
-        run_trial(A, y, x, alg, k, g, budget, threshold)
-        for _ in range(3):
-            t0 = time.perf_counter()
-            run_trial(A, y, x, alg, k, g, budget, threshold)
-            times.append(time.perf_counter() - t0)
+        run_trial(*trial)
+        times = [run_trial(*trial).wall_time for _ in range(3)]
         return outcome, sum(times) / 3.0, median(times)
 
-    grid = _run_grid(specs, algorithms, [gamma], trials, threads, budget=lambda s: None, solve=solve)
-    cells = []
-    for alg in algorithms:
-        for spec, results in zip(specs, grid):
-            entries = results[alg, gamma]
-            outcomes = [e[0] for e in entries]
-            recovered = [o for o in outcomes if o.success]
-            stats = {
-                "trials": len(outcomes),
-                "recovered": len(recovered),
-                "unrecovered": len(outcomes) - len(recovered),
-                "success_rate": len(recovered) / len(outcomes) if outcomes else float("nan"),
-                "mean_iterations": (
-                    sum(o.iterations for o in recovered) / len(recovered)
-                    if recovered
-                    else float("nan")
-                ),
-                "mean_runtime": sum(e[1] for e in entries) / len(entries),
-                "median3_runtime": sum(e[2] for e in entries) / len(entries),
-            }
-            coords = {"algorithm": alg, "m": spec.m, "n": spec.n, "k": spec.k}
-            cells.append(SweepCell(coords=coords, stats=stats))
-    return SweepResult(
-        name="scaling",
-        axes=["algorithm", "m", "n", "k"],
-        stat_columns=[
-            "trials",
-            "recovered",
-            "unrecovered",
-            "success_rate",
-            "mean_iterations",
-            "mean_runtime",
-            "median3_runtime",
+    return _sweep(
+        "scaling", specs, algorithms, [gamma], trials, threads,
+        budget=lambda s: None,
+        cells=lambda alg, g, runs: [
+            SweepCell({"algorithm": alg, "m": s.m, "n": s.n, "k": s.k}, _scaling_stats(entries))
+            for s, entries in runs
         ],
-        cells=cells,
-        provenance=_provenance(
-            "scaling",
-            {"n_factor": n_factor, "k_ratio": k_ratio, "scaling": scaling},
-            seed=master_seed,
-            ms=ms,
-            algorithms=algorithms,
-            trials=trials,
-            gamma=gamma,
-            timed=timed,
-        ),
+        provenance={"spec": {"n_factor": n_factor, "k_ratio": k_ratio, "scaling": scaling},
+                    "ms": ms, "gamma": gamma, "timed": timed},
+        solve=solve,
     )

@@ -356,9 +356,12 @@ def _records(path, header):
 
     Yields the header's integers as a tuple, then (1-based line number,
     tokens) for each nonblank line after it, reading one line at a time.
+    A byte that is not UTF-8 is read as a lone surrogate
+    (``surrogateescape``) and reported as a format error at its line, not
+    as a decode error of a read buffer, which has no line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline().rstrip("\n")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        line = _utf8(path, 1, fh.readline()).rstrip("\n")
         tokens = line.split()
         if not tokens:
             raise FileFormatError(path, 1, f"expected header line {header!r}")
@@ -370,9 +373,15 @@ def _records(path, header):
             raise FileFormatError(path, 1, f"expected integer header {header!r}, got {line!r}") from None
         yield dims
         for line_no, line in enumerate(fh, start=2):
-            tokens = line.split()
+            tokens = _utf8(path, line_no, line).split()
             if tokens:
                 yield line_no, tokens
+
+
+def _utf8(path, line_no, line):
+    if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+        raise FileFormatError(path, line_no, "not UTF-8 text")
+    return line
 
 
 def _parse_floats(tokens, path, line_no):

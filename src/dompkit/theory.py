@@ -85,9 +85,11 @@ def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP, batch=4096):
 
     delta_q is the largest deviation of a q-column Gram spectrum from 1,
     maximized over all C(n, q) supports; supports are processed in
-    batches through a vectorized symmetric eigensolver.
+    batches through a vectorized symmetric eigensolver.  Raises
+    ValueError on a non-finite A.
     """
     A = np.asarray(A, dtype=float)
+    linalg._require_finite(A)
     n = A.shape[1]
     q = int(q)
     if q < 1 or q > n:
@@ -113,7 +115,7 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     """Largest order t with delta_t < 1, found by an incremental sweep.
 
     Monotonicity of delta_t in t makes the first failing order final.
-    Returns 0 when even delta_1 >= 1.
+    Returns 0 when even delta_1 >= 1.  Raises ValueError on a non-finite A.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
@@ -128,12 +130,13 @@ def theta_constant(A, y):
 
     Enlarging a support never increases the projection residual, so the
     maximum is attained on a singleton; only the n one-column projections
-    are evaluated.
+    are evaluated.  Raises ValueError on a non-finite A or y.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
         raise ValueError("A must be m x n and y length m")
+    linalg._require_finite(A, y)
     yy = float(y @ y)
     col_sq = np.einsum("ij,ij->j", A, A)
     corr = A.T @ y
@@ -530,9 +533,7 @@ def projection_proximity_suite(
         x[true_support] = rng.standard_normal(k)
         y = A @ x
         steps = 1 + trial % max(k - 1, 1)
-        config = algorithms.AlgorithmConfig(
-            "domp", k, gamma=gamma, max_iterations=steps, tolerance=1e-12
-        )
+        config = algorithms.AlgorithmConfig("domp", k, gamma=gamma, max_iterations=steps)
         for state in algorithms.iterate(A, y, config):
             pass
         if np.abs(state.r).max() <= 1e-12 * np.abs(A.T @ y).max():

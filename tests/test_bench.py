@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from dompkit import bench
 from dompkit.algorithms import AlgorithmConfig, run
 from dompkit.bench import (
     EnsembleSpec,
+    TrialOutcome,
     crc_threshold,
     gamma_sweep,
     generate_problem,
@@ -216,6 +218,50 @@ def test_scaling_benchmark_timed_measures_runtime():
     cell = res.cell(algorithm="domp", m=30)
     assert cell.stats["mean_runtime"] > 0.0
     assert cell.stats["median3_runtime"] > 0.0
+
+
+def test_scaling_benchmark_runtime_is_the_runs_own_clock(monkeypatch):
+    # per trial: the scored run, a warm-up, then three timed reruns
+    clock = iter([9.0, 9.0, 0.25, 4.0, 1.0, 9.0, 9.0, 2.0, 2.0, 5.0])
+
+    def fixed(*args):
+        return TrialOutcome(True, 0.0, True, 1, next(clock))
+
+    monkeypatch.setattr(bench, "run_trial", fixed)
+    res = scaling_benchmark([20], ["omp"], trials=2, master_seed=1)
+    stats = res.cell(algorithm="omp", m=20).stats
+    # trial means 1.75 and 3.0, trial medians 1.0 and 2.0
+    assert stats["mean_runtime"] == (1.75 + 3.0) / 2
+    assert stats["median3_runtime"] == (1.0 + 2.0) / 2
+
+
+SPEC = EnsembleSpec(m=20, n=60, k=3, master_seed=1)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: gamma_sweep(SPEC, [0.5], [], ["domp"], 2),
+        lambda: gamma_sweep(SPEC, [0.5], [3], [], 2),
+        lambda: gamma_sweep(SPEC, [], [3], ["domp"], 2),
+        lambda: iteration_sweep(SPEC, [1, 2], [], ["domp"], 2),
+        lambda: iteration_sweep(SPEC, [1, 2], [3], [], 2),
+        lambda: iteration_sweep(SPEC, [], [3], ["domp"], 2),
+        lambda: success_curves(SPEC, [], ["domp"], 2),
+        lambda: success_curves(SPEC, [3], [], 2),
+        lambda: scaling_benchmark([], ["domp"], 2, master_seed=1, timed=False),
+        lambda: scaling_benchmark([20], [], 2, master_seed=1, timed=False),
+    ],
+    ids=["gamma-ks", "gamma-algorithms", "gamma-gammas", "iters-ks", "iters-algorithms",
+         "iters-budgets", "k-ks", "k-algorithms", "scaling-sizes", "scaling-algorithms"],
+)
+def test_empty_sweep_grid_fails_before_any_problem(monkeypatch, sweep):
+    # a grid without cells has no CSV header to write
+    drawn = []
+    monkeypatch.setattr(bench, "generate_problem", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError):
+        sweep()
+    assert drawn == []
 
 
 def test_csv_format_and_determinism():

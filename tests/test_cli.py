@@ -344,7 +344,16 @@ def exit_code_files(tmp_path):
     linalg.save_vector(y, np.array([0.0, 1.0, 0.0, 0.0]))
     bad = tmp_path / "bad.txt"
     bad.write_text("4 4\n1 0 0 0\n0 1 x 0\n")
-    return {"eye": str(eye), "y": str(y), "bad": str(bad), "missing": str(tmp_path / "none.txt")}
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"4 4\n1 0 0 0\n0 1 0 \xff0\n0 0 1 0\n0 0 0 1\n")
+    latin_header = tmp_path / "latin-header.txt"
+    latin_header.write_bytes(b"4 4\xff\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    return {"eye": str(eye), "y": str(y), "bad": str(bad), "latin": str(latin),
+            "latin_header": str(latin_header), "missing": str(tmp_path / "none.txt")}
+
+
+# The malformed files of the table, with the line each is reported at.
+BAD_LINES = {"bad": 3, "latin": 3, "latin_header": 1}
 
 
 TINY_SWEEP = ["--seed", "1", "--trials", "1", "--m", "10", "--n", "20", "--k-levels", "2"]
@@ -379,6 +388,9 @@ RECOVER = ["recover", "--measurements", "{y}", "--algo", "omp"]
              "--reset-support"]),
         *[(2, [*RECOVER, "--matrix", "{eye}", "--sparsity", "2", "--algo", algo, "--gamma", "0.3"])
           for algo in ("omp", "gomp", "cosamp", "sp")],
+        # a byte that is not UTF-8 is a data error at its line
+        (3, [*RECOVER, "--matrix", "{latin}", "--sparsity", "1"]),
+        (3, ["ric", "--matrix", "{latin_header}", "--order", "1"]),
     ],
 )
 def test_exit_code_table(exit_code_files, capsys, code, argv):
@@ -386,6 +398,9 @@ def test_exit_code_table(exit_code_files, capsys, code, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    for name, line in BAD_LINES.items():
+        if "{%s}" % name in argv:
+            assert f"{exit_code_files[name]}:{line}: " in captured.err
 
 
 def test_bad_sweep_grid_fails_before_any_problem(monkeypatch, capsys):

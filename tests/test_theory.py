@@ -91,6 +91,24 @@ def test_theta_matches_exhaustive_oracle():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_theory_matrix_entry_points_reject_nonfinite_input(bad):
+    # one bad entry used to give ric_exact a perfect isometry (delta 0 at
+    # order 2) and theta_constant sqrt(y.y) on an all-NaN matrix
+    A = np.random.default_rng(6).standard_normal((6, 5))
+    A[2, 3] = bad
+    y = np.ones(6)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        theory.ric_exact(A, 2)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        theory.highest_rip_order(A)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        theory.theta_constant(np.full((6, 5), bad), y)
+    y[0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        theory.theta_constant(np.eye(6, 5), y)
+
+
 def test_domp_ric_bound_monotone_in_gamma_and_k():
     gammas = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     for k in (1, 5, 50, 100):
