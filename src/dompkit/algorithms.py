@@ -18,12 +18,12 @@ falls back to a from-scratch minimum-norm solve when it goes degenerate.
 Termination reasons, tested in this order before each step: the stopping
 rule's kind, "global-optimum" on a numerically zero gradient residual
 (which covers a solver with nothing left to select, so no step is taken
-on a zero gradient), "iteration-cap" once the budget is spent.  A step
-can end the run too: "stalled" when a growing solver's step changes
-neither support nor estimate, and "residual-increase" when a
-subspace-pursuit step would not lower the measurement residual (the step
-is rejected).  CoSaMP has no stall or residual test and runs to its
-budget.
+on a zero gradient), "iteration-cap" once the budget,
+``AlgorithmConfig.max_iterations``, is spent.  A step can end the run
+too: "stalled" when a growing solver's step changes neither support nor
+estimate, and "residual-increase" when a subspace-pursuit step would
+not lower the measurement residual (the step is rejected).  CoSaMP has
+no stall or residual test and runs to its budget.
 """
 
 import time
@@ -130,8 +130,8 @@ def _next_state(A, y, previous, x, support, selected, solver=None):
     )
 
 
-def _project(A, y, state, new_support, selected):
-    """Build the next state: least squares on ``new_support``, fresh residual."""
+def _solve_on(A, y, state, new_support):
+    """Least squares on ``new_support`` off ``state``'s QR: (x, extended solver)."""
     if state.solver is None:
         solver = linalg.IncrementalQRSolver(A, y).extended(new_support)
     else:
@@ -139,6 +139,12 @@ def _project(A, y, state, new_support, selected):
     x = solver.solve()
     if x is None:
         x = linalg._restricted_ls(A, y, new_support)
+    return x, solver
+
+
+def _project(A, y, state, new_support, selected):
+    """Build the next state: least squares on ``new_support``, fresh residual."""
+    x, solver = _solve_on(A, y, state, new_support)
     return _next_state(A, y, state, x, new_support, selected, solver)
 
 
@@ -186,12 +192,12 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
     grown = _union(state.support, theta)
     if grown.size <= k:
         return _project(A, y, state, grown, theta.size)
-    tentative = _project(A, y, state, grown, theta.size)
-    keep = linalg.top_q_indices(tentative.x, k)
+    tentative, solver = _solve_on(A, y, state, grown)
+    keep = linalg.top_q_indices(tentative, k)
     x = linalg._restricted_ls(A, y, keep)
     if reset_support:
         return _next_state(A, y, state, x, np.flatnonzero(x), theta.size)
-    return _next_state(A, y, state, x, grown, theta.size, tentative.solver)
+    return _next_state(A, y, state, x, grown, theta.size, solver)
 
 
 def cosamp_step(state, A, y, k):
@@ -216,28 +222,21 @@ def sp_step(state, A, y, k):
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Exactly one termination test: an iteration budget, a threshold on
-    the measurement or gradient residual, or a relative-error threshold
-    against the ground truth the run is given (see :func:`iterate`).
-    A rule holds no array, so rules compare equal and hash by value."""
+    """Exactly one threshold test: on the measurement or gradient residual,
+    or on the relative error against the ground truth the run is given
+    (see :func:`iterate`); the iteration budget is the config's.  A rule
+    holds no array, so rules compare equal and hash by value."""
 
     kind: str
     epsilon: float = 0.0
-    iterations: int | None = None
 
-    KINDS = ("max-iterations", "measurement-residual", "gradient-residual", "relative-error")
+    KINDS = ("measurement-residual", "gradient-residual", "relative-error")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon}")
-        if self.kind == "max-iterations" and (self.iterations is None or self.iterations < 0):
-            raise ValueError("max-iterations rule needs a nonnegative iteration count")
-
-    @classmethod
-    def max_iterations(cls, iterations):
-        return cls(kind="max-iterations", iterations=int(iterations))
 
     @classmethod
     def measurement_residual(cls, epsilon):
@@ -253,8 +252,6 @@ class StoppingRule:
 
     def satisfied(self, state, truth=None):
         """Whether ``state`` passes; the relative-error kind compares with ``truth``."""
-        if self.kind == "max-iterations":
-            return state.p >= self.iterations
         if self.kind == "measurement-residual":
             return state.residual_norm <= self.epsilon
         if self.kind == "gradient-residual":
@@ -282,8 +279,8 @@ class AlgorithmConfig:
     0.9), ``n_select`` to gOMP only (default min(2, k-1) indices per
     iteration) and ``reset_support`` to EDOMP only; any of them set for
     another solver is rejected.
-    ``max_iterations`` overrides the default budget (the sparsity level
-    for the support-growing solvers, 500 for CoSaMP/SP).
+    ``max_iterations`` is the one iteration budget, an int once built: by
+    default k for the support-growing solvers and 500 for CoSaMP/SP.
     """
 
     algorithm: str
@@ -317,8 +314,10 @@ class AlgorithmConfig:
                 object.__setattr__(self, "n_select", min(2, self.k - 1))
             if not 1 <= self.n_select < self.k:
                 raise ValueError(f"gOMP needs 1 <= N < k, got N={self.n_select}, k={self.k}")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        if self.max_iterations is None:
+            object.__setattr__(self, "max_iterations", 500 if self.algorithm in ("cosamp", "sp") else self.k)
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -345,14 +344,6 @@ class AlgorithmReport:
     gradient_norm: float
     success: bool | None = None
     relative_error: float | None = None
-
-
-def _budget(config):
-    if config.stopping is not None and config.stopping.kind == "max-iterations":
-        return config.stopping.iterations
-    if config.max_iterations is not None:
-        return config.max_iterations
-    return 500 if config.algorithm in ("cosamp", "sp") else config.k
 
 
 def _trace_entry(state):
@@ -433,7 +424,6 @@ def iterate(A, y, config, truth=None):
     """
     A, y, truth = _validated(A, y, config, truth)
     step = _step(config, A, y)
-    budget = _budget(config)
     state = initial_state(A, y)
     zero_scale = np.abs(state.r).max() if y.any() else 0.0
     yield state
@@ -442,7 +432,7 @@ def iterate(A, y, config, truth=None):
             return config.stopping.kind
         if np.abs(state.r).max() <= ZERO_RESIDUAL_RTOL * zero_scale:
             return "global-optimum"
-        if state.p >= budget:
+        if state.p >= config.max_iterations:
             return "iteration-cap"
         following, reason = step(state)
         if following is not None:

@@ -220,14 +220,16 @@ def _sweep(name, specs, algorithms, gammas, trials, threads, budget, cells, prov
     off the first cell.  ``provenance`` holds the sweep's own sidecar
     fields; this adds the command, version, seed, algorithms, trial
     count and build id.  Every cell's configuration is built before the
-    first problem is drawn, so an empty or invalid grid, or one that
-    repeats a key or an ensemble, raises ValueError without doing any
-    work.
+    first problem is drawn, so an empty or invalid grid, one that repeats
+    a key or an ensemble, or ``trials < 1`` raises ValueError without
+    doing any work.
     """
     algorithms = list(algorithms)
     keys = [(alg, g) for alg in algorithms for g in gammas]
     if not keys or not specs:
         raise ValueError("the sweep grid is empty")
+    if trials < 1:
+        raise ValueError(f"a sweep needs at least one trial per cell, got {trials}")
     _require_distinct(keys, "(algorithm, gamma)")
     _require_distinct([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
     for spec in specs:
@@ -279,8 +281,8 @@ def _success_stats(outcomes, budget=None):
     return {
         "trials": trials,
         "successes": successes,
-        "success_rate": successes / trials if trials else float("nan"),
-        "mean_iterations": sum(iters for _, iters in cut) / trials if trials else float("nan"),
+        "success_rate": successes / trials,
+        "mean_iterations": sum(iters for _, iters in cut) / trials,
     }
 
 
@@ -355,7 +357,7 @@ def _scaling_stats(entries):
         "trials": len(entries),
         "recovered": len(recovered),
         "unrecovered": len(entries) - len(recovered),
-        "success_rate": len(recovered) / len(entries) if entries else float("nan"),
+        "success_rate": len(recovered) / len(entries),
         "mean_iterations": (
             sum(o.iterations for o in recovered) / len(recovered) if recovered else float("nan")
         ),

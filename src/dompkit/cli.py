@@ -34,12 +34,12 @@ EXIT_NUMERIC = 4
 
 PRESETS = ("desk", "full")
 
-# Each --stop kind: the StoppingRule factory that takes its value.
+# Each --stop kind: the AlgorithmConfig keyword it sets and what makes its value.
 _STOP_RULES = {
-    "max-iters": StoppingRule.max_iterations,
-    "residual": StoppingRule.measurement_residual,
-    "gradient": StoppingRule.gradient_residual,
-    "relerr": StoppingRule.relative_error,
+    "max-iters": ("max_iterations", int),
+    "residual": ("stopping", StoppingRule.measurement_residual),
+    "gradient": ("stopping", StoppingRule.gradient_residual),
+    "relerr": ("stopping", StoppingRule.relative_error),
 }
 
 
@@ -182,7 +182,7 @@ def build_parser():
     rec.add_argument(
         "--stop",
         default=None,
-        help="stopping rule: max-iters:N | residual:EPS | gradient:EPS | relerr:EPS",
+        help="stopping rule: max-iters:N (the iteration budget) | residual:EPS | gradient:EPS | relerr:EPS",
     )
     rec.add_argument("--truth", default=None, help="ground-truth vector file for success scoring")
     rec.add_argument("--reset-support", action="store_true", help="thresholded variant drops stale support")
@@ -231,19 +231,20 @@ def _emit(text, path):
             fh.write(text)
 
 
-def _stop_rule(text):
-    """The StoppingRule that a --stop value kind:value names, or None.
+def _stop_setting(text):
+    """{AlgorithmConfig keyword: value} that a --stop value kind:value sets, or {}.
 
-    The kind picks the factory; the rule itself checks the value.
+    The kind picks the keyword; the value's maker and AlgorithmConfig check it.
     """
     if text is None:
-        return None
+        return {}
     kind, _, value = text.partition(":")
     if kind not in _STOP_RULES:
         raise UsageError(f"stopping rule needs the form kind:value with kind one of "
                          f"{', '.join(_STOP_RULES)}, got {text!r}")
+    keyword, make = _STOP_RULES[kind]
     try:
-        return _STOP_RULES[kind](value)
+        return {keyword: make(value)}
     except ValueError as exc:
         raise UsageError(f"bad stopping rule {text!r}: {exc}") from exc
 
@@ -257,11 +258,11 @@ def _sparse_estimate(x):
 
 def _cmd_recover(args):
     # Flags are checked before any file is read: a bad flag beats a bad file.
-    stopping = _stop_rule(args.stop)
-    if stopping is not None and stopping.kind == "relative-error" and args.truth is None:
+    stop = _stop_setting(args.stop)
+    if "stopping" in stop and stop["stopping"].kind == "relative-error" and args.truth is None:
         raise UsageError("relerr stopping rule needs --truth")
     config = AlgorithmConfig(args.algo, k=args.sparsity, gamma=args.gamma, n_select=args.gomp_n,
-                             stopping=stopping, reset_support=args.reset_support)
+                             reset_support=args.reset_support, **stop)
 
     A = linalg.load_matrix(args.matrix)
     y = linalg.load_vector(args.measurements)

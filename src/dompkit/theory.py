@@ -536,7 +536,7 @@ def projection_proximity_suite(
         config = algorithms.AlgorithmConfig("domp", k, gamma=gamma, max_iterations=steps)
         for state in algorithms.iterate(A, y, config):
             pass
-        if np.abs(state.r).max() <= 1e-12 * np.abs(A.T @ y).max():
+        if np.abs(state.r).max() <= algorithms.ZERO_RESIDUAL_RTOL * np.abs(A.T @ y).max():
             state = algorithms.initial_state(A, y)
         selected = algorithms.select_dynamic_indices(state.r, k, gamma)
         sigma = sigma_scale * linalg.spectral_norm(A) ** 2

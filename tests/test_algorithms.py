@@ -12,6 +12,7 @@ from dompkit.algorithms import (
     domp_step,
     edomp_step,
     initial_state,
+    iterate,
     omp_step,
     run,
     select_dynamic_indices,
@@ -172,6 +173,23 @@ def test_edomp_thresholding_branch():
     assert nxt.support.size >= k  # literal accumulation keeps the grown support
 
 
+@pytest.mark.parametrize("reset_support", [False, True])
+def test_edomp_thresholded_step_builds_one_state(monkeypatch, reset_support):
+    rng = np.random.default_rng(78)
+    A = rng.standard_normal((12, 40))
+    y = rng.standard_normal(12)
+    k = 3
+    state = initial_state(A, y)
+    while state.support.size + 1 <= k:
+        state = domp_step(state, A, y, k, 0.2)
+    assert np.union1d(state.support, select_dynamic_indices(state.r, k, 0.2)).size > k
+    built = []
+    next_state = algorithms._next_state
+    monkeypatch.setattr(algorithms, "_next_state", lambda *a, **kw: built.append(a) or next_state(*a, **kw))
+    edomp_step(state, A, y, k, 0.2, reset_support=reset_support)
+    assert len(built) == 1
+
+
 def test_edomp_reset_support_mode():
     rng = np.random.default_rng(79)
     A = rng.standard_normal((12, 40))
@@ -322,11 +340,76 @@ def test_run_max_iterations_zero():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((6, 12))
     y = rng.standard_normal(6)
-    report = run(A, y, AlgorithmConfig("domp", k=3, stopping=StoppingRule.max_iterations(0)))
+    report = run(A, y, AlgorithmConfig("domp", k=3, max_iterations=0))
     assert report.iterations == 0
     assert not report.x.any()
-    assert report.termination == "max-iterations"
+    assert report.termination == "iteration-cap"
     assert report.trace == []
+
+
+def _drain(A, y, config, truth=None):
+    """Every state of a run and its termination reason."""
+    states, run_states = [], iterate(A, y, config, truth)
+    while True:
+        try:
+            states.append(next(run_states))
+        except StopIteration as stop:
+            return states, stop.value
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_smaller_budget_runs_the_prefix_of_the_longer_run(algorithm, noise, seed):
+    # iteration_sweep scores every budget off the run with the largest one
+    rng = np.random.default_rng(900 + seed)
+    A, x, y = random_sparse_problem(rng, 20, 60, 6)
+    y = y + noise * rng.standard_normal(20)
+    extra = {"gamma": 0.5} if algorithm in algorithms.DYNAMIC_SOLVERS else {}
+    rule = StoppingRule.relative_error(1e-5)
+    longer, reason = _drain(A, y, AlgorithmConfig(algorithm, 6, stopping=rule, max_iterations=15, **extra), x)
+    last = longer[-1].p
+    for budget in range(15):
+        shorter, cut = _drain(A, y, AlgorithmConfig(algorithm, 6, stopping=rule, max_iterations=budget, **extra), x)
+        assert len(shorter) == min(budget, last) + 1
+        for a, b in zip(shorter, longer):
+            assert a.p == b.p
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.support, b.support)
+        if budget < last:
+            assert cut == "iteration-cap"
+        elif budget > last:
+            assert cut == reason
+        else:
+            assert cut in ("iteration-cap", reason)
+
+
+def test_config_resolves_the_iteration_budget():
+    for algorithm in ("omp", "gomp", "domp", "edomp"):
+        assert AlgorithmConfig(algorithm, k=7).max_iterations == 7
+    for algorithm in ("cosamp", "sp"):
+        assert AlgorithmConfig(algorithm, k=7).max_iterations == 500
+    for algorithm in ALGORITHMS:
+        assert AlgorithmConfig(algorithm, k=7, max_iterations=0).max_iterations == 0
+        assert AlgorithmConfig(algorithm, k=7, max_iterations=3).max_iterations == 3
+        with pytest.raises(ValueError, match="max_iterations"):
+            AlgorithmConfig(algorithm, k=7, max_iterations=-1)
+    assert AlgorithmConfig("omp", 5) == AlgorithmConfig("omp", 5, max_iterations=5)
+
+
+def test_budget_is_not_a_stopping_rule():
+    assert "max-iterations" not in StoppingRule.KINDS
+    assert not hasattr(StoppingRule, "max_iterations")
+    with pytest.raises(ValueError, match="unknown stopping rule"):
+        StoppingRule("max-iterations")
+
+
+def test_zero_gradient_at_the_budget_is_a_global_optimum():
+    # the zero-gradient test comes before the budget test
+    x = np.zeros(6)
+    x[[1, 4]] = [2.0, -1.0]
+    report = run(np.eye(6), x, AlgorithmConfig("omp", k=2, max_iterations=2))
+    assert (report.iterations, report.termination) == (2, "global-optimum")
 
 
 def test_run_gradient_rule_zero_measurements():

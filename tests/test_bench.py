@@ -251,12 +251,18 @@ SPEC = EnsembleSpec(m=20, n=60, k=3, master_seed=1)
         lambda: success_curves(SPEC, [3], [], 2),
         lambda: scaling_benchmark([], ["domp"], 2, master_seed=1, timed=False),
         lambda: scaling_benchmark([20], [], 2, master_seed=1, timed=False),
+        lambda: gamma_sweep(SPEC, [0.5], [3], ["domp"], 0),
+        lambda: iteration_sweep(SPEC, [1, 2], [3], ["domp"], 0),
+        lambda: success_curves(SPEC, [3], ["domp"], 0),
+        lambda: scaling_benchmark([20], ["domp"], 0, master_seed=1, timed=False),
     ],
     ids=["gamma-ks", "gamma-algorithms", "gamma-gammas", "iters-ks", "iters-algorithms",
-         "iters-budgets", "k-ks", "k-algorithms", "scaling-sizes", "scaling-algorithms"],
+         "iters-budgets", "k-ks", "k-algorithms", "scaling-sizes", "scaling-algorithms",
+         "gamma-trials", "iters-trials", "k-trials", "scaling-trials"],
 )
 def test_empty_sweep_grid_fails_before_any_problem(monkeypatch, sweep):
-    # a grid without cells has no CSV header to write
+    # a grid without cells has no CSV header to write, and a cell without
+    # trials no rate
     drawn = []
     monkeypatch.setattr(bench, "generate_problem", lambda *a: drawn.append(a))
     with pytest.raises(ValueError):

@@ -132,16 +132,17 @@ def test_recover_stop_rule_parsing(identity_problem, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["iterations"] == 0
-    assert payload["termination"] == "max-iterations"
+    assert payload["termination"] == "iteration-cap"
 
     assert main(
         ["recover", "--matrix", matrix, "--measurements", measurements,
          "--sparsity", "1", "--algo", "omp", "--stop", "relerr:1e-5"]
     ) == 2
-    assert main(
-        ["recover", "--matrix", matrix, "--measurements", measurements,
-         "--sparsity", "1", "--algo", "omp", "--stop", "nonsense"]
-    ) == 2
+    for stop in ("nonsense", "max-iters:-1", "max-iters:x", "max-iters:2.5", "max-iters:"):
+        assert main(
+            ["recover", "--matrix", matrix, "--measurements", measurements,
+             "--sparsity", "1", "--algo", "omp", "--stop", stop]
+        ) == 2
 
 
 def test_sweep_requires_seed(capsys):
