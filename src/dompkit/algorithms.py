@@ -26,6 +26,7 @@ not lower the measurement residual (the step is rejected).  CoSaMP has
 no stall or residual test and runs to its budget.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -103,12 +104,16 @@ def select_dynamic_indices(r, k, gamma):
     between 1 and k elements.  Raises :class:`ZeroResidualError` for a
     zero residual, which means the current iterate is already optimal.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     top = _top_nonzero(r, k)
     # top holds an index of max|r|, so its largest magnitude is max|r|.
     magnitudes = np.abs(np.asarray(r, dtype=float)[top])
     return top[magnitudes >= gamma * magnitudes.max()]
+
+
+def _check_gamma(gamma):
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
 def _next_state(A, y, previous, x, support, selected, solver=None):
@@ -294,13 +299,17 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}")
+        for name in ("k", "n_select", "max_iterations"):
+            value = getattr(self, name)
+            # numpy integers pass; a float such as 2.5 or 3.0 does not
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"sparsity k must be at least 1, got {self.k}")
         if self.algorithm in DYNAMIC_SOLVERS:
             if self.gamma is None:
                 object.__setattr__(self, "gamma", 0.9)
-            if not 0.0 < self.gamma <= 1.0:
-                raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+            _check_gamma(self.gamma)
         elif self.gamma is not None:
             raise ValueError(f"gamma (selection threshold) applies to domp and edomp only, not {self.algorithm}")
         if self.n_select is not None and self.algorithm != "gomp":
@@ -358,20 +367,15 @@ def _trace_entry(state):
 
 def _validated(A, y, config, truth):
     """The one input check of every solver: A, y and the ground truth
-    (optional, except under a relative-error rule) as float arrays."""
+    (optional, except under a relative-error rule) by ``linalg._system``."""
     if not isinstance(config, AlgorithmConfig):
         raise ValueError("config must be an AlgorithmConfig")
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
-        raise ValueError("A must be m x n and y length m")
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != (A.shape[1],):
-            raise ValueError(f"truth must be a vector of length n={A.shape[1]}, got shape {truth.shape}")
+        A, y, truth = linalg._system(A, y, truth, names=("y", "truth"))
     elif config.stopping is not None and config.stopping.kind == "relative-error":
         raise ValueError("relative-error rule needs the ground truth")
-    linalg._require_finite(A, y, *([] if truth is None else [truth]))
+    else:
+        A, y = linalg._system(A, y)
     if config.k > A.shape[1]:
         raise ValueError(f"sparsity k={config.k} exceeds the n={A.shape[1]} columns of A")
     return A, y, truth

@@ -171,13 +171,6 @@ class SweepResult:
     def provenance_json(self):
         return json.dumps(self.provenance, indent=2, sort_keys=True) + "\n"
 
-    def write(self, csv_path, sidecar_path=None):
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
-        if sidecar_path is not None:
-            with open(sidecar_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.provenance_json())
-
     def cell(self, **coords):
         for c in self.cells:
             if all(c.coords.get(k) == v for k, v in coords.items()):

@@ -6,6 +6,11 @@ variant used by the verification suites, the spectral norm, and the
 plain-text matrix/vector file format shared with the CLI (one streaming
 reader serves both file kinds).
 
+Arrays are checked once, where they enter: every public entry point
+that takes (A, y) calls the one rule ``_system``, one that takes A alone
+``_as_matrix`` and ``_require_finite``; checked code then solves through
+the unchecked core ``_restricted_ls``.
+
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
 """
@@ -21,8 +26,6 @@ __all__ = [
     "load_matrix",
     "load_vector",
     "penalized_restricted_ls",
-    "residual_gradient",
-    "restrict_to_support",
     "restricted_least_squares",
     "save_matrix",
     "save_vector",
@@ -64,6 +67,23 @@ def _require_finite(*arrays):
             raise ValueError("input contains NaN or Inf")
 
 
+def _system(A, y, x=None, names=("y", "x")):
+    """The one check of a linear system: A two-dimensional (m x n), y of
+    length m and x, when given, of length n, all finite.  Returns the float
+    arrays (A, y), or (A, y, x); ``names`` names y and x in the messages."""
+    A = _as_matrix(A)
+    m, n = A.shape
+    vectors = [(y, names[0], m)] if x is None else [(y, names[0], m), (x, names[1], n)]
+    checked = [A]
+    for v, name, size in vectors:
+        v = _as_vector(v, name)
+        if v.size != size:
+            raise ValueError(f"dimension mismatch: A is {m}x{n}, {name} has length {v.size}")
+        checked.append(v)
+    _require_finite(*checked)
+    return tuple(checked)
+
+
 def top_q_indices(v, q):
     """Indices of the ``q`` largest magnitudes of ``v``, sorted ascending.
 
@@ -100,29 +120,6 @@ def hard_threshold(v, k):
     return out
 
 
-def restrict_to_support(v, support):
-    """Zero every entry of ``v`` outside ``support``."""
-    v = _as_vector(v)
-    support = _as_support(support, v.size)
-    out = np.zeros_like(v)
-    out[support] = v[support]
-    return out
-
-
-def residual_gradient(A, y, x):
-    """Gradient residual A^T (y - A x), the negative gradient of the
-    squared-error metric at ``x``."""
-    A = _as_matrix(A)
-    y = _as_vector(y, "y")
-    x = _as_vector(x, "x")
-    m, n = A.shape
-    if y.size != m or x.size != n:
-        raise ValueError(
-            f"dimension mismatch: A is {m}x{n}, y has length {y.size}, x has length {x.size}"
-        )
-    return A.T @ (y - A @ x)
-
-
 def _well_conditioned(R):
     diag = np.abs(np.diag(R))
     return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
@@ -157,11 +154,7 @@ def restricted_least_squares(A, y, support):
     deficient.  An empty support returns the zero vector.  The first-order
     condition (A^T (y - A x))_support = 0 holds to solver tolerance.
     """
-    A = _as_matrix(A)
-    y = _as_vector(y, "y")
-    if A.shape[0] != y.size:
-        raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, y has length {y.size}")
-    _require_finite(A, y)
+    A, y = _system(A, y)
     return _restricted_ls(A, y, _as_support(support, A.shape[1]))
 
 
@@ -181,11 +174,7 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     Solved as an augmented least-squares system so the large penalty is
     never squared through normal equations.
     """
-    A = _as_matrix(A)
-    y = _as_vector(y, "y")
-    if A.shape[0] != y.size:
-        raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, y has length {y.size}")
-    _require_finite(A, y)
+    A, y = _system(A, y)
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")

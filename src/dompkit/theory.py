@@ -86,9 +86,9 @@ def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP, batch=4096):
     delta_q is the largest deviation of a q-column Gram spectrum from 1,
     maximized over all C(n, q) supports; supports are processed in
     batches through a vectorized symmetric eigensolver.  Raises
-    ValueError on a non-finite A.
+    ValueError unless A is a finite matrix.
     """
-    A = np.asarray(A, dtype=float)
+    A = linalg._as_matrix(A)
     linalg._require_finite(A)
     n = A.shape[1]
     q = int(q)
@@ -115,9 +115,10 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     """Largest order t with delta_t < 1, found by an incremental sweep.
 
     Monotonicity of delta_t in t makes the first failing order final.
-    Returns 0 when even delta_1 >= 1.  Raises ValueError on a non-finite A.
+    Returns 0 when even delta_1 >= 1.  Raises ValueError like ric_exact.
     """
-    A = np.asarray(A, dtype=float)
+    A = linalg._as_matrix(A)
+    linalg._require_finite(A)
     n = A.shape[1]
     for t in range(1, n + 1):
         if ric_exact(A, t, cap=cap).delta >= 1.0:
@@ -130,13 +131,9 @@ def theta_constant(A, y):
 
     Enlarging a support never increases the projection residual, so the
     maximum is attained on a singleton; only the n one-column projections
-    are evaluated.  Raises ValueError on a non-finite A or y.
+    are evaluated.  Raises ValueError on an invalid (A, y).
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.size:
-        raise ValueError("A must be m x n and y length m")
-    linalg._require_finite(A, y)
+    A, y = linalg._system(A, y)
     yy = float(y @ y)
     col_sq = np.einsum("ij,ij->j", A, A)
     corr = A.T @ y
@@ -149,8 +146,7 @@ def theta_constant(A, y):
 def exhaustive_theta(A, y):
     """Brute-force oracle for :func:`theta_constant`: max over every
     nonempty subset of the minimum-norm projection residual."""
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
+    A, y = linalg._system(A, y)
     n = A.shape[1]
     worst = 0.0
     for size in range(1, n + 1):
@@ -161,8 +157,7 @@ def exhaustive_theta(A, y):
 
 
 def _selection_width(k, gamma):
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    algorithms._check_gamma(gamma)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return 1.0 + math.sqrt(1.0 + k * gamma * gamma)
@@ -306,20 +301,19 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     The two side bounds (ridge entries squeezed below theta / sqrt(sigma),
     projection residual below theta) are checked as well.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
+    A, y = linalg._system(A, y)
     n = A.shape[1]
     support = linalg._as_support(support, n)
     selected = linalg._as_support(selected, n, name="selected")
-    x_current = linalg.restricted_least_squares(A, y, support)
-    r = linalg.residual_gradient(A, y, x_current)
+    x_current = linalg._restricted_ls(A, y, support)
+    r = A.T @ (y - A @ x_current)
     grown = np.union1d(support, selected).astype(np.int64)
     top = linalg.top_q_indices(r, min(int(k), n))
     excluded = np.union1d(grown, linalg._as_support(true_support, n, name="true_support"))
     penalized = np.setdiff1d(top, excluded)
     enlarged = np.union1d(grown, penalized).astype(np.int64)
 
-    x_exact = linalg.restricted_least_squares(A, y, grown)
+    x_exact = linalg._restricted_ls(A, y, grown)
     x_ridge = linalg.penalized_restricted_ls(A, y, enlarged, penalized, sigma)
 
     theta = theta_constant(A, y)
@@ -380,15 +374,13 @@ def verify_recovery_bound(
     closed-form threshold are reported inconclusive, never failed.  While
     the accumulated support stays within (c-2)k the iterate's distance to
     the best k-term approximation must lie below the geometric bound plus
-    the noise term.
+    the noise term.  An invalid A, x or noise raises ValueError first.
     """
     if algorithm not in ("domp", "edomp"):
         raise ValueError("recovery bound applies to the dynamic-selection solvers")
     if c <= 2:
         raise ValueError(f"c must exceed 2, got {c}")
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
     ric = ric_exact(A, c * k, cap=cap)
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
     if ric.delta >= limit or ric.delta == 0.0:
@@ -406,8 +398,7 @@ def verify_recovery_bound(
         )
 
     y = A @ x + noise
-    best_support = linalg.top_q_indices(x, k)
-    x_best = linalg.restrict_to_support(x, best_support)
+    x_best = linalg.hard_threshold(x, k)
     nu_prime = float(np.linalg.norm(y - A @ x_best))
     matrix_norm = linalg.spectral_norm(A)
     consts = bound_constants(
@@ -485,6 +476,8 @@ def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
     the slacks of a trial by position, ``parameters`` also gets the
     violations counted per family.
     """
+    if trials < 1:
+        raise ValueError(f"a suite needs at least one trial, got {trials}")
     failed = Counter()  # violations per slack position
     inconclusive = 0
     min_slack = None
@@ -534,10 +527,13 @@ def projection_proximity_suite(
         y = A @ x
         steps = 1 + trial % max(k - 1, 1)
         config = algorithms.AlgorithmConfig("domp", k, gamma=gamma, max_iterations=steps)
-        for state in algorithms.iterate(A, y, config):
-            pass
-        if np.abs(state.r).max() <= algorithms.ZERO_RESIDUAL_RTOL * np.abs(A.T @ y).max():
-            state = algorithms.initial_state(A, y)
+        states = algorithms.iterate(A, y, config)
+        try:
+            while True:
+                state = next(states)
+        except StopIteration as stop:  # at a global optimum, restart from zero
+            if stop.value == "global-optimum":
+                state = algorithms.initial_state(A, y)
         selected = algorithms.select_dynamic_indices(state.r, k, gamma)
         sigma = sigma_scale * linalg.spectral_norm(A) ** 2
         check = verify_projection_proximity(

@@ -464,6 +464,22 @@ def test_run_rejects_invalid_input(algorithm, defect):
         run(A, y, config)
 
 
+@pytest.mark.parametrize("field", ["k", "n_select", "max_iterations"])
+@pytest.mark.parametrize("value", [2.5, 3.0])
+def test_config_rejects_non_integer_counts(field, value):
+    settings = {"k": 4, "n_select": 2, "max_iterations": 3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        AlgorithmConfig("gomp", **settings)
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = AlgorithmConfig("gomp", np.int64(4), n_select=np.int32(2), max_iterations=np.int64(3))
+    assert (config.k, config.n_select, config.max_iterations) == (4, 2, 3)
+    rng = np.random.default_rng(17)
+    A, x, y = random_sparse_problem(rng, 20, 50, 4)
+    assert run(A, y, config).iterations <= 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AlgorithmConfig("nope", k=3)

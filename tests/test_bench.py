@@ -300,16 +300,13 @@ def test_csv_nan_for_unrecovered_cells():
         pytest.skip("instance unexpectedly recovered")
 
 
-def test_sweep_result_files_and_provenance(tmp_path):
+def test_sweep_result_files_and_provenance():
     spec = EnsembleSpec(m=20, n=80, k=2, master_seed=33)
     res = success_curves(spec, [2], ["domp"], trials=4)
-    csv_path = tmp_path / "out.csv"
-    meta_path = tmp_path / "out.meta.json"
-    res.write(csv_path, meta_path)
-    assert csv_path.read_text().startswith("algorithm,k,")
+    assert res.to_csv().startswith("algorithm,k,")
     import json
 
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(res.provenance_json())
     assert meta["command"] == "phase-k"
     assert meta["seed"] == 33
     assert "build_id" in meta and "version" in meta

@@ -1,5 +1,10 @@
 """Inputs are checked once, where they enter.
 
+Every public entry point that takes a matrix checks its arrays by one
+rule, ``linalg._system``: a 1-D A, a vector of the wrong length and a
+NaN or Inf raise ValueError with one message per defect, whichever
+entry point is called.
+
 ``algorithms.iterate`` scans A and y for NaN/Inf once per run; every
 least-squares solve inside a step goes through the unchecked core
 ``linalg._restricted_ls``, which must agree bit for bit with the public,
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dompkit import linalg
+from dompkit import linalg, theory
 from dompkit.algorithms import ALGORITHMS, DYNAMIC_SOLVERS, AlgorithmConfig, iterate, run
 
 
@@ -43,6 +48,81 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(linalg, name, counted)
     return calls
+
+
+M, N = 6, 5
+
+# entry point -> (call on A and the named vectors, the vectors it takes)
+ENTRY_POINTS = {
+    "run": (lambda A, v: run(A, v["y"], AlgorithmConfig("omp", 2)), ("y",)),
+    "run-truth": (lambda A, v: run(A, v["y"], AlgorithmConfig("omp", 2), truth=v["truth"]), ("y", "truth")),
+    "iterate": (lambda A, v: next(iterate(A, v["y"], AlgorithmConfig("domp", 2))), ("y",)),
+    "restricted_least_squares": (lambda A, v: linalg.restricted_least_squares(A, v["y"], [0]), ("y",)),
+    "penalized_restricted_ls": (lambda A, v: linalg.penalized_restricted_ls(A, v["y"], [0, 1], [1], 1.0), ("y",)),
+    "spectral_norm": (lambda A, v: linalg.spectral_norm(A), ()),
+    "theta_constant": (lambda A, v: theory.theta_constant(A, v["y"]), ("y",)),
+    "exhaustive_theta": (lambda A, v: theory.exhaustive_theta(A, v["y"]), ("y",)),
+    "ric_exact": (lambda A, v: theory.ric_exact(A, 2), ()),
+    "highest_rip_order": (lambda A, v: theory.highest_rip_order(A), ()),
+    "verify_projection_proximity": (
+        lambda A, v: theory.verify_projection_proximity(A, v["y"], [0], [1], 2, 1.0), ("y",)),
+    "verify_recovery_bound": (
+        lambda A, v: theory.verify_recovery_bound(A, v["x"], v["noise"], 1, 0.9, 3), ("noise", "x")),
+}
+
+
+def _flat_A(A, vectors):
+    return A[:, 0]
+
+
+def _nan_in_A(A, vectors):
+    A[2, 3] = np.nan
+    return A
+
+
+def _short(name):
+    def spoil(A, vectors):
+        vectors[name] = vectors[name][:-1]
+        return A
+    return spoil
+
+
+def _inf_in(name):
+    def spoil(A, vectors):
+        vectors[name][0] = np.inf
+        return A
+    return spoil
+
+
+def _defects(names):
+    """(defect, spoil, message): ``spoil(A, vectors)`` returns the A to pass
+    and may spoil one of the vectors in place."""
+    yield "1-D-A", _flat_A, f"A must be two-dimensional, got shape ({M},)"
+    yield "nan-in-A", _nan_in_A, "input contains NaN or Inf"
+    for name in names:
+        size = M if name in ("y", "noise") else N
+        yield f"short-{name}", _short(name), f"dimension mismatch: A is {M}x{N}, {name} has length {size - 1}"
+        yield f"inf-in-{name}", _inf_in(name), "input contains NaN or Inf"
+
+
+BAD_INPUTS = [
+    pytest.param(entry, spoil, message, id=f"{entry}-{defect}")
+    for entry, (_, names) in ENTRY_POINTS.items()
+    for defect, spoil, message in _defects(names)
+]
+
+
+@pytest.mark.parametrize("entry,spoil,message", BAD_INPUTS)
+def test_every_entry_point_rejects_bad_arrays_with_one_message(entry, spoil, message):
+    A = np.random.default_rng(30).standard_normal((M, N))
+    x = np.zeros(N)
+    x[1] = 1.0
+    vectors = {"y": A @ x, "truth": x.copy(), "x": x.copy(), "noise": np.zeros(M)}
+    A = spoil(A, vectors)
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as raised:
+        call(A, vectors)
+    assert str(raised.value) == message
 
 
 def _gamma(algorithm, gamma):

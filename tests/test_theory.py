@@ -329,6 +329,20 @@ def test_suites_check_sparsity_before_trial_zero(monkeypatch, suite):
         suite(1, 0, m=15, n=30, k=0)
 
 
+@pytest.mark.parametrize("suite", [
+    theory.projection_proximity_suite,
+    theory.recovery_bound_suite,
+    theory.auxiliary_inequality_suite,
+    theory.theta_equivalence_suite,
+    theory.ric_monotonicity_suite,
+])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_suites_reject_fewer_than_one_trial_before_trial_zero(monkeypatch, suite, trials):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+        suite(trials, 1)
+
+
 def test_recovery_bound_suite_rejects_nonfinite_noise():
     with pytest.raises(ValueError, match="finite"):
         theory.recovery_bound_suite(1, 0, noise_amplitude=float("nan"))
