@@ -11,9 +11,10 @@ Each solver is a pure step function over an immutable
 :func:`sp_step`.  One engine, :func:`iterate`, validates the inputs once,
 applies the stopping tests before every step and yields each state;
 :func:`run` drains it into a report with a per-iteration trace.  States
-carry a snapshot of an incremental QR factorization so that nested
-supports are re-projected in O(m t) per added column; the factorization
-falls back to a from-scratch minimum-norm solve when it goes degenerate.
+carry a snapshot of an incremental QR factorization, and the four
+support-growing solvers re-project through one function, ``_grown``, in
+O(m t) per added column; it falls back to a from-scratch minimum-norm
+solve when the factorization yields no solution.
 
 Termination reasons, tested in this order before each step: the stopping
 rule's kind, "global-optimum" on a numerically zero gradient residual
@@ -116,7 +117,7 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
-def _next_state(A, y, previous, x, support, selected, solver=None):
+def _next_state(A, y, previous, selected, support, x, solver=None):
     """The state after ``previous`` with estimate ``x`` and a fresh residual.
 
     The misfit y - A x is formed from the columns where x is nonzero, so
@@ -135,38 +136,36 @@ def _next_state(A, y, previous, x, support, selected, solver=None):
     )
 
 
-def _solve_on(A, y, state, new_support):
-    """Least squares on ``new_support`` off ``state``'s QR: (x, extended solver)."""
+def _grown(A, y, state, added):
+    """Grow ``state``'s support by the sorted indices ``added`` and re-project:
+    (support, least-squares x on it, extended solver).
+
+    The state's QR is extended by the indices that are new, in ascending
+    order; a state without one (EDOMP after a support reset) starts a fresh
+    factorization.  When the factorization cannot be trusted the solve
+    falls back to a from-scratch minimum-norm least squares.
+    """
+    support = np.union1d(state.support, added).astype(np.int64)
     if state.solver is None:
-        solver = linalg.IncrementalQRSolver(A, y).extended(new_support)
+        solver = linalg.IncrementalQRSolver(A, y).extended(support)
     else:
-        solver = state.solver.extended(new_support[~np.isin(new_support, state.support)])
+        solver = state.solver.extended(np.setdiff1d(added, state.support, assume_unique=True))
     x = solver.solve()
     if x is None:
-        x = linalg._restricted_ls(A, y, new_support)
-    return x, solver
-
-
-def _project(A, y, state, new_support, selected):
-    """Build the next state: least squares on ``new_support``, fresh residual."""
-    x, solver = _solve_on(A, y, state, new_support)
-    return _next_state(A, y, state, x, new_support, selected, solver)
-
-
-def _union(support, added):
-    return np.union1d(support, added).astype(np.int64)
+        x = linalg._restricted_ls(A, y, support)
+    return support, x, solver
 
 
 def omp_step(state, A, y):
     """Add the single largest-magnitude gradient index, then re-project."""
     added = _top_nonzero(state.r, 1)
-    return _project(A, y, state, _union(state.support, added), added.size)
+    return _next_state(A, y, state, added.size, *_grown(A, y, state, added))
 
 
 def gomp_step(state, A, y, n_select):
     """Add the ``n_select`` largest-magnitude gradient indices, then re-project."""
     added = _top_nonzero(state.r, int(n_select))
-    return _project(A, y, state, _union(state.support, added), added.size)
+    return _next_state(A, y, state, added.size, *_grown(A, y, state, added))
 
 
 def _top_nonzero(r, q):
@@ -180,7 +179,7 @@ def _top_nonzero(r, q):
 def domp_step(state, A, y, k, gamma):
     """Add every dynamically selected index at once, then re-project."""
     theta = select_dynamic_indices(state.r, k, gamma)
-    return _project(A, y, state, _union(state.support, theta), theta.size)
+    return _next_state(A, y, state, theta.size, *_grown(A, y, state, theta))
 
 
 def edomp_step(state, A, y, k, gamma, reset_support=False):
@@ -194,15 +193,12 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
     case it is replaced by the support of the thresholded iterate.
     """
     theta = select_dynamic_indices(state.r, k, gamma)
-    grown = _union(state.support, theta)
-    if grown.size <= k:
-        return _project(A, y, state, grown, theta.size)
-    tentative, solver = _solve_on(A, y, state, grown)
-    keep = linalg.top_q_indices(tentative, k)
-    x = linalg._restricted_ls(A, y, keep)
-    if reset_support:
-        return _next_state(A, y, state, x, np.flatnonzero(x), theta.size)
-    return _next_state(A, y, state, x, grown, theta.size, solver)
+    support, x, solver = _grown(A, y, state, theta)
+    if support.size > k:
+        x = linalg._restricted_ls(A, y, linalg.top_q_indices(x, k))
+        if reset_support:
+            support, solver = np.flatnonzero(x), None
+    return _next_state(A, y, state, theta.size, support, x, solver)
 
 
 def cosamp_step(state, A, y, k):
@@ -212,7 +208,7 @@ def cosamp_step(state, A, y, k):
     proxy = linalg.top_q_indices(state.r, min(2 * k, A.shape[1]))
     merged = np.union1d(proxy, np.flatnonzero(state.x)).astype(np.int64)
     x = linalg.hard_threshold(linalg._restricted_ls(A, y, merged), k)
-    return _next_state(A, y, state, x, np.flatnonzero(x), int(proxy.size))
+    return _next_state(A, y, state, int(proxy.size), np.flatnonzero(x), x)
 
 
 def sp_step(state, A, y, k):
@@ -222,7 +218,7 @@ def sp_step(state, A, y, k):
     merged = np.union1d(proxy, state.support).astype(np.int64)
     keep = linalg.top_q_indices(linalg._restricted_ls(A, y, merged), k)
     x = linalg._restricted_ls(A, y, keep)
-    return _next_state(A, y, state, x, np.sort(keep), int(proxy.size))
+    return _next_state(A, y, state, int(proxy.size), keep, x)
 
 
 @dataclass(frozen=True)
@@ -382,11 +378,7 @@ def _validated(A, y, config, truth):
 
 
 def _stalled(previous, state):
-    same = (
-        state.support.size == previous.support.size
-        and np.array_equal(state.support, previous.support)
-        and np.array_equal(state.x, previous.x)
-    )
+    same = np.array_equal(state.support, previous.support) and np.array_equal(state.x, previous.x)
     return state, "stalled" if same else None
 
 

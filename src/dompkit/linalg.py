@@ -233,9 +233,12 @@ class IncrementalQRSolver:
     Appending a column costs O(m t) where t is the current support size,
     against O(m t^2) for a from-scratch refactorization.  Gram-Schmidt
     with one reorthogonalization pass keeps Q orthonormal to machine
-    precision.  Near-dependent columns (or an estimated condition number
-    above 1e12) flip ``degenerate``; callers should then fall back to
-    :func:`restricted_least_squares`.
+    precision.  ``degenerate`` is set when an appended column is
+    numerically dependent on the factored ones (its orthogonal remainder
+    is at most 1e-12 of its norm) or when the support reaches m columns;
+    appends then stop.  :meth:`solve` returns None in that case and also
+    when R's diagonal fails the ``_COND_RECIP_LIMIT`` test of every QR
+    solve; callers then fall back to :func:`restricted_least_squares`.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
@@ -254,8 +257,6 @@ class IncrementalQRSolver:
         self._t = 0
         self.columns = []
         self.degenerate = False
-        self._diag_max = 0.0
-        self._diag_min = np.inf
 
     def extended(self, indices):
         """New solver with ``indices`` appended to the factored support.
@@ -297,11 +298,6 @@ class IncrementalQRSolver:
         if rho <= 1e-12 * max(norm_a, np.finfo(float).tiny):
             self.degenerate = True
             return
-        self._diag_max = max(self._diag_max, rho)
-        self._diag_min = min(self._diag_min, rho)
-        if self._diag_min <= _COND_RECIP_LIMIT * self._diag_max:
-            self.degenerate = True
-            return
         buffer = self._buffer
         capacity = buffer.Q.shape[1]
         if buffer.used != t or t == capacity:
@@ -317,16 +313,16 @@ class IncrementalQRSolver:
     def solve(self):
         """Full-length least-squares solution on the factored support.
 
-        Returns None when the factorization went degenerate; callers must
-        then re-solve from scratch.
+        Returns None when the factorization is degenerate or R fails the
+        ``_COND_RECIP_LIMIT`` test; callers must then re-solve from scratch.
         """
-        if self.degenerate:
-            return None
         x = np.zeros(self._A.shape[1])
-        if self.columns:
-            t = self._t
-            coef = np.linalg.solve(self._buffer.R[:t, :t], self._buffer.qty[:t])
-            x[np.asarray(self.columns, dtype=np.int64)] = coef
+        if not self.columns:
+            return x
+        R = self._buffer.R[:self._t, :self._t]
+        if self.degenerate or not _well_conditioned(R):
+            return None
+        x[np.asarray(self.columns, dtype=np.int64)] = np.linalg.solve(R, self._buffer.qty[:self._t])
         return x
 
 

@@ -11,6 +11,7 @@ from dompkit.algorithms import (
     ZeroResidualError,
     domp_step,
     edomp_step,
+    gomp_step,
     initial_state,
     iterate,
     omp_step,
@@ -590,3 +591,53 @@ def test_incremental_projection_matches_from_scratch():
         state = domp_step(state, A, y, 7, 0.6)
         expect = linalg.restricted_least_squares(A, y, state.support)
         assert np.allclose(state.x, expect, atol=1e-9)
+
+
+def test_domp_through_an_ill_conditioned_column_matches_from_scratch():
+    # Unit columns e0..e3 and a fifth column 1e-13 * (e4 + e5)/sqrt(2): DOMP
+    # takes {0, 1}, {2}, {3}, then the scaled column, whose QR fails the
+    # condition-ratio test, so the last projection is the from-scratch one.
+    A = np.zeros((6, 5))
+    A[:4, :4] = np.eye(4)
+    A[4:, 4] = 1e-13 / np.sqrt(2)
+    y = np.array([1.0, 0.9, 0.8, 0.7, 10.0, 0.0])
+    states = list(iterate(A, y, AlgorithmConfig("domp", k=5, gamma=0.9)))[1:]
+    assert [s.support.tolist() for s in states] == [[0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
+    for state in states:
+        assert np.array_equal(state.x, linalg.restricted_least_squares(A, y, state.support))
+    assert states[-1].solver.solve() is None
+    assert not states[-1].solver.degenerate
+
+
+GROWING_STEPS = {
+    "omp": (omp_step, lambda r: linalg.top_q_indices(r, 1)),
+    "gomp": (lambda s, A, y: gomp_step(s, A, y, 2), lambda r: linalg.top_q_indices(r, 2)),
+    "domp": (lambda s, A, y: domp_step(s, A, y, 3, 0.2), lambda r: select_dynamic_indices(r, 3, 0.2)),
+    "edomp": (lambda s, A, y: edomp_step(s, A, y, 3, 0.2), lambda r: select_dynamic_indices(r, 3, 0.2)),
+    "edomp-reset": (lambda s, A, y: edomp_step(s, A, y, 3, 0.2, reset_support=True),
+                    lambda r: select_dynamic_indices(r, 3, 0.2)),
+}
+
+
+def _state_bytes(state):
+    return (state.x.tobytes(), state.support.tobytes(), state.r.tobytes(), state.p,
+            state.residual_norm, state.selected)
+
+
+@pytest.mark.parametrize("name", GROWING_STEPS)
+def test_growing_step_extends_by_the_new_indices_and_repeats_bytewise(monkeypatch, name):
+    step, selection = GROWING_STEPS[name]
+    rng = np.random.default_rng(78)
+    A = rng.standard_normal((12, 40))
+    y = rng.standard_normal(12)
+    state = initial_state(A, y)
+    for _ in range(2):
+        state = domp_step(state, A, y, 3, 0.2)
+    extensions = []
+    extended = linalg.IncrementalQRSolver.extended
+    monkeypatch.setattr(linalg.IncrementalQRSolver, "extended",
+                        lambda self, indices: extensions.append(list(indices)) or extended(self, indices))
+    first, second = step(state, A, y), step(state, A, y)
+    assert _state_bytes(first) == _state_bytes(second)
+    new = sorted(set(selection(state.r).tolist()) - set(state.support.tolist()))
+    assert new and extensions == [new, new]

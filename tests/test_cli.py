@@ -266,9 +266,9 @@ def test_verify_theta_suite(capsys):
 
 
 def test_verify_bound_suite_inconclusive_exits_zero(capsys):
-    # the default small ensemble essentially never passes the RIC gate;
+    # an 8 x 12 ensemble essentially never passes the RIC gate;
     # inconclusive instances must not fail the suite
-    code = main(["verify", "--suite", "bound-domp", "--trials", "4", "--seed", "9"])
+    code = main(["verify", "--suite", "bound-domp", "--trials", "4", "--seed", "9", "--m", "8"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == 0

@@ -417,3 +417,21 @@ def test_matrix_file_errors(tmp_path, content, line):
     with pytest.raises(linalg.FileFormatError) as err:
         linalg.load_matrix(path)
     assert err.value.line == line
+
+
+def test_incremental_qr_ratio_rule_is_applied_at_solve_time():
+    # A column scaled by 1e-13 is independent of the unit columns, so it is
+    # factored, but R's diagonal then spans 13 decades: solve() falls back,
+    # also after one more column, and the factorization is not degenerate.
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((10, 6))
+    A /= np.linalg.norm(A, axis=0)
+    A[:, 2] *= 1e-13
+    y = rng.standard_normal(10)
+    solver = linalg.IncrementalQRSolver(A, y).extended([0, 1, 2])
+    assert solver.solve() is None
+    assert not solver.degenerate
+    grown = solver.extended([3])
+    assert grown.solve() is None
+    assert not grown.degenerate
+    assert grown.columns == [0, 1, 2, 3]

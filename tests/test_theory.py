@@ -254,6 +254,14 @@ def test_recovery_bound_thresholded_variant():
     assert summary.min_slack is not None and summary.min_slack >= 0
 
 
+@pytest.mark.parametrize("algorithm", ["domp", "edomp"])
+def test_recovery_bound_suites_check_something_at_their_defaults(algorithm):
+    summary = theory.recovery_bound_suite(5, 1, algorithm=algorithm)
+    assert summary.parameters["m"] == 800
+    assert summary.inconclusive == 0
+    assert summary.min_slack is not None
+
+
 def test_recovery_bound_rejects_bad_inputs():
     A = np.eye(4)
     with pytest.raises(ValueError):
