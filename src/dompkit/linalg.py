@@ -3,13 +3,15 @@
 Selection operators (largest-magnitude index sets, hard thresholding),
 least squares restricted to a column support, the ridge-on-a-subset
 variant used by the verification suites, the spectral norm, and the
-plain-text matrix/vector file format shared with the CLI (one streaming
-reader serves both file kinds).
+plain-text matrix/vector file format shared with the CLI (numpy's C
+reader parses matrix rows; one streaming line reader serves vector files
+and every file the C reader does not accept).
 
 Arrays are checked once, where they enter: every public entry point
 that takes (A, y) calls the one rule ``_system``, one that takes A alone
-``_as_matrix`` and ``_require_finite``; checked code then solves through
-the unchecked core ``_restricted_ls``.
+``_as_matrix`` and ``_require_finite``; checked code then goes through
+the unchecked cores ``_restricted_ls``, ``_penalized_ls`` and
+``_spectral_norm``.
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
@@ -122,7 +124,13 @@ def hard_threshold(v, k):
 
 def _well_conditioned(R):
     diag = np.abs(np.diag(R))
-    return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
+    return diag.size and _in_ratio(diag.min(), diag.max())
+
+
+def _in_ratio(lo, hi):
+    """The ``_COND_RECIP_LIMIT`` test on the smallest and largest magnitude
+    of a QR factor's diagonal."""
+    return hi > 0 and lo > _COND_RECIP_LIMIT * hi
 
 
 def _solve_submatrix_ls(As, y):
@@ -175,12 +183,17 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     never squared through normal equations.
     """
     A, y = _system(A, y)
+    n = A.shape[1]
+    support = _as_support(support, n)
+    return _penalized_ls(A, y, support, _as_support(penalized, n, name="penalized"), sigma)
+
+
+def _penalized_ls(A, y, support, penalized, sigma):
+    """:func:`penalized_restricted_ls` without its array checks (see
+    :func:`_restricted_ls`); sigma and the subset rule are still checked."""
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    n = A.shape[1]
-    support = _as_support(support, n)
-    penalized = _as_support(penalized, n, name="penalized")
     if penalized.size and not np.isin(penalized, support).all():
         raise ValueError("penalized indices must be a subset of the support")
     if penalized.size == 0:
@@ -192,7 +205,7 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     augmented = np.vstack([As, ridge])
     rhs = np.concatenate([y, np.zeros(penalized.size)])
     coef = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
-    x = np.zeros(n)
+    x = np.zeros(A.shape[1])
     x[support] = coef
     return x
 
@@ -201,6 +214,11 @@ def spectral_norm(A):
     """Largest singular value of ``A``, 0.0 for an empty matrix."""
     A = _as_matrix(A)
     _require_finite(A)
+    return _spectral_norm(A)
+
+
+def _spectral_norm(A):
+    """:func:`spectral_norm` of a finite float matrix, unchecked."""
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
@@ -236,9 +254,11 @@ class IncrementalQRSolver:
     precision.  ``degenerate`` is set when an appended column is
     numerically dependent on the factored ones (its orthogonal remainder
     is at most 1e-12 of its norm) or when the support reaches m columns;
-    appends then stop.  :meth:`solve` returns None in that case and also
-    when R's diagonal fails the ``_COND_RECIP_LIMIT`` test of every QR
-    solve; callers then fall back to :func:`restricted_least_squares`.
+    appends then stop.  They also stop, without ``degenerate``, at the
+    first column that would make R's diagonal fail the
+    ``_COND_RECIP_LIMIT`` test of every QR solve, which no later column
+    can undo.  :meth:`solve` returns None in both cases; callers then fall
+    back to :func:`restricted_least_squares`.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
@@ -257,6 +277,9 @@ class IncrementalQRSolver:
         self._t = 0
         self.columns = []
         self.degenerate = False
+        self._ill_conditioned = False
+        # smallest and largest |R_ii| so far, for the ratio test per append
+        self._diagonal = (math.inf, 0.0)
 
     def extended(self, indices):
         """New solver with ``indices`` appended to the factored support.
@@ -273,7 +296,7 @@ class IncrementalQRSolver:
 
     def _append(self, j):
         self.columns.append(j)
-        if self.degenerate:
+        if self.degenerate or self._ill_conditioned:
             return
         a = self._A[:, j]
         t = self._t
@@ -298,6 +321,11 @@ class IncrementalQRSolver:
         if rho <= 1e-12 * max(norm_a, np.finfo(float).tiny):
             self.degenerate = True
             return
+        lo, hi = self._diagonal
+        self._diagonal = lo, hi = min(lo, rho), max(hi, rho)
+        if not _in_ratio(lo, hi):
+            self._ill_conditioned = True
+            return
         buffer = self._buffer
         capacity = buffer.Q.shape[1]
         if buffer.used != t or t == capacity:
@@ -319,9 +347,9 @@ class IncrementalQRSolver:
         x = np.zeros(self._A.shape[1])
         if not self.columns:
             return x
-        R = self._buffer.R[:self._t, :self._t]
-        if self.degenerate or not _well_conditioned(R):
+        if self.degenerate or self._ill_conditioned:
             return None
+        R = self._buffer.R[:self._t, :self._t]
         x[np.asarray(self.columns, dtype=np.int64)] = np.linalg.solve(R, self._buffer.qty[:self._t])
         return x
 
@@ -346,21 +374,25 @@ def _records(path, header):
     as a decode error of a read buffer, which has no line number.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        line = _utf8(path, 1, fh.readline()).rstrip("\n")
-        tokens = line.split()
-        if not tokens:
-            raise FileFormatError(path, 1, f"expected header line {header!r}")
-        if len(tokens) != len(header.split()):
-            raise FileFormatError(path, 1, f"expected header {header!r}, got {line!r}")
-        try:
-            dims = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise FileFormatError(path, 1, f"expected integer header {header!r}, got {line!r}") from None
-        yield dims
+        yield _header(path, _utf8(path, 1, fh.readline()), header)
         for line_no, line in enumerate(fh, start=2):
             tokens = _utf8(path, line_no, line).split()
             if tokens:
                 yield line_no, tokens
+
+
+def _header(path, line, header):
+    """The integers named in ``header`` that the first line of a file holds."""
+    line = line.rstrip("\n")
+    tokens = line.split()
+    if not tokens:
+        raise FileFormatError(path, 1, f"expected header line {header!r}")
+    if len(tokens) != len(header.split()):
+        raise FileFormatError(path, 1, f"expected header {header!r}, got {line!r}")
+    try:
+        return tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise FileFormatError(path, 1, f"expected integer header {header!r}, got {line!r}") from None
 
 
 def _utf8(path, line_no, line):
@@ -383,7 +415,32 @@ def _parse_floats(tokens, path, line_no):
 
 
 def load_matrix(path):
-    """Read a dense matrix: first line "m n", then m rows of n numbers."""
+    """Read a dense matrix: first line "m n", then m rows of n numbers.
+
+    numpy's C reader parses the rows.  It converts a number as ``float()``
+    does, so the values have the same bits as the line reader's.  A file
+    that it does not read as m x n finite numbers from strict UTF-8 text is
+    read again by the line reader, which also takes the numbers only
+    ``float()`` accepts (``1_000``, non-ASCII digits) and reports any
+    defect at its line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            m, n = _header(path, fh.readline(), "m n")
+            start = fh.tell()
+            # loadtxt warns on a body without data; the line reader reports it
+            if any(not line.isspace() for line in iter(fh.readline, "")):
+                fh.seek(start)
+                A = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+                if A.shape == (m, n) and np.isfinite(A).all():
+                    return A
+    except ValueError:  # a format error, a decode error or a number loadtxt rejects
+        pass
+    return _load_matrix_lines(path)
+
+
+def _load_matrix_lines(path):
+    """:func:`load_matrix` by the line reader."""
     records = _records(path, "m n")
     m, n = next(records)
     if m < 1 or n < 1:

@@ -165,6 +165,18 @@ def test_one_finiteness_scan_per_run(monkeypatch, algorithm, m, n, k, gamma, see
         assert solves
 
 
+@pytest.mark.parametrize("entry", ["verify_projection_proximity", "highest_rip_order"])
+def test_one_finiteness_scan_per_theory_check(monkeypatch, entry):
+    # the proximity check solves, takes theta and the norm through unchecked
+    # cores; highest_rip_order sweeps every order on one checked A
+    A = np.random.default_rng(31).standard_normal((M, N))
+    A[:, 4] = A[:, 0]
+    vectors = {"y": A @ np.ones(N)}
+    scans = _count_calls(monkeypatch, "_require_finite")
+    ENTRY_POINTS[entry][0](A, vectors)
+    assert len(scans) == 1
+
+
 @st.composite
 def degenerate_problems(draw):
     m = draw(st.integers(1, 6))

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dompkit import linalg
 
@@ -420,9 +424,11 @@ def test_matrix_file_errors(tmp_path, content, line):
 
 
 def test_incremental_qr_ratio_rule_is_applied_at_solve_time():
-    # A column scaled by 1e-13 is independent of the unit columns, so it is
-    # factored, but R's diagonal then spans 13 decades: solve() falls back,
-    # also after one more column, and the factorization is not degenerate.
+    # A column scaled by 1e-13 is independent of the unit columns, but
+    # factoring it would make R's diagonal span 13 decades: solve() falls
+    # back, also after one more column, and the factorization is not
+    # degenerate.  Every extension of such an R fails the ratio test too,
+    # so neither that column nor any after it is written into R.
     rng = np.random.default_rng(3)
     A = rng.standard_normal((10, 6))
     A /= np.linalg.norm(A, axis=0)
@@ -435,3 +441,70 @@ def test_incremental_qr_ratio_rule_is_applied_at_solve_time():
     assert grown.solve() is None
     assert not grown.degenerate
     assert grown.columns == [0, 1, 2, 3]
+    at_once = linalg.IncrementalQRSolver(A, y).extended([0, 1, 2, 3, 4])
+    assert at_once.solve() is None
+    for snapshot in (grown, at_once):
+        assert snapshot._buffer.used == 2
+        assert not snapshot._buffer.R[:, 2:].any()
+        assert not snapshot._buffer.Q[:, 2:].any()
+
+
+# Number formats that numpy's C reader converts; tokens that it rejects,
+# of which some only float() takes and the others are format errors; and
+# at most one defect per file, so that each kind is drawn often.
+_C_FORMS = (repr, "{:.17g}".format, "{:+.6e}".format, "{:E}".format, lambda v: f" {v!r}")
+_OTHER_TOKENS = ("1_000", "\u0661\u0662", "\u0663.5", "nan", "-inf", "Infinity", "1e999",
+                 "x", "0x10", "1d5", "1,5", "")
+_SEPARATORS = (" ", "\t", "  ", " \t ", "\xa0", "\u2003")
+_DEFECTS = (None, None, None, "token", "token", "header", "rows", "width", "byte")
+
+
+@st.composite
+def matrix_files(draw):
+    """(file bytes, whether numpy's reader must accept it as it stands)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    defect = draw(st.sampled_from(_DEFECTS))
+    header = f"{m} {n}"
+    if defect == "header":
+        header = draw(st.sampled_from([f"{m + 1} {n}", f"{m} {n + 1}", f"0 {n}", f"{m}", "a b"]))
+    rows = draw(st.sampled_from([m - 1, m + 1, 0])) if defect == "rows" else m
+    odd = draw(st.integers(0, max(rows - 1, 0)))  # the row of a width or token defect
+    lines = [header]
+    for row in range(rows):
+        width = n + draw(st.sampled_from([-1, 1])) if defect == "width" and row == odd else n
+        tokens = [draw(st.sampled_from(_C_FORMS))(draw(st.floats(allow_nan=False, allow_infinity=False)))
+                  for _ in range(width)]
+        if defect == "token" and row == odd:
+            tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_OTHER_TOKENS))
+        lines.append(draw(st.sampled_from(_SEPARATORS)).join(tokens))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\xa0"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+    if defect == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, defect is None
+
+
+def _outcome(load, path):
+    try:
+        A = load(path)
+    except linalg.FileFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("matrix", A.shape, A.tobytes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix_files())
+def test_matrix_file_c_reader_agrees_with_the_line_reader(tmp_path, case):
+    data, clean = case
+    path = tmp_path / "mat.txt"
+    path.write_bytes(data)
+    line_reader = linalg._load_matrix_lines
+    with mock.patch.object(linalg, "_load_matrix_lines", side_effect=line_reader) as fallback:
+        got = _outcome(linalg.load_matrix, path)
+    assert got == _outcome(line_reader, path)
+    if clean:
+        assert not fallback.called

@@ -65,6 +65,94 @@ def test_highest_rip_order_matches_full_table():
     assert theory.highest_rip_order(A) == expected
 
 
+def _bottom_up(A, cap=theory.DEFAULT_ENUMERATION_CAP):
+    """The reference sweep: the first order whose exact RIC reaches 1."""
+    n = A.shape[1]
+    for t in range(1, n + 1):
+        if theory.ric_exact(A, t, cap=cap).delta >= 1.0:
+            return t - 1
+    return n
+
+
+def _outcome(order, A, cap=theory.DEFAULT_ENUMERATION_CAP):
+    try:
+        return order(A, cap=cap)
+    except theory.EnumerationCapExceeded as exc:
+        return str(exc)
+
+
+def _unit_columns(m, n, seed=7):
+    A = np.random.default_rng(seed).standard_normal((m, n))
+    return A / np.linalg.norm(A, axis=0)
+
+
+def _with_column(A, j, column):
+    A = A.copy()
+    A[:, j] = column
+    return A
+
+
+TALL = _unit_columns(40, 8)
+RIP_MATRICES = {
+    "tall": TALL,
+    "tall-middle-order": _unit_columns(10, 8),
+    "square": _unit_columns(9, 9),
+    "wide": _unit_columns(8, 12),
+    "duplicate-column": _with_column(TALL, 7, TALL[:, 0]),
+    "zero-column": _with_column(TALL, 2, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", RIP_MATRICES)
+def test_highest_rip_order_equals_the_bottom_up_sweep(name):
+    A = RIP_MATRICES[name]
+    assert theory.highest_rip_order(A) == _bottom_up(A)
+
+
+def _count_ric(monkeypatch):
+    orders = []
+    original = theory._ric
+
+    def counted(gram, q, cap):
+        orders.append(q)
+        return original(gram, q, cap)
+
+    monkeypatch.setattr(theory, "_ric", counted)
+    return orders
+
+
+def test_highest_rip_order_settles_a_full_rank_tall_matrix_from_the_gram(monkeypatch):
+    # delta_20 < 1, so every order passes: no support is enumerated, and the
+    # cap that the middle orders (C(20, 10) = 184756 supports) exceed does
+    # not apply.  The sweep raises at order 3, C(20, 3) = 1140 > 1000.
+    A = np.random.default_rng(8).standard_normal((400, 20)) / 20.0
+    orders = _count_ric(monkeypatch)
+    assert theory.highest_rip_order(A, cap=1000) == 20
+    assert orders == []
+    with pytest.raises(theory.EnumerationCapExceeded) as err:
+        _bottom_up(A, cap=1000)
+    assert err.value.q == 3
+
+
+def test_highest_rip_order_sweeps_when_delta_n_is_within_rounding_of_one(monkeypatch):
+    # delta_3 = 1 - 1e-15 lies below 1 by less than the eigensolver's error
+    # bound, so the sweep decides (and finds every order below 1).
+    A = np.diag(np.sqrt([2.0 - 1e-15, 1.0, 1.0]))
+    orders = _count_ric(monkeypatch)
+    assert theory.highest_rip_order(A) == 3
+    assert orders == [1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cap", [50, 66, theory.DEFAULT_ENUMERATION_CAP])
+def test_highest_rip_order_on_a_wide_matrix_matches_the_sweep_or_its_cap_error(monkeypatch, seed, cap):
+    A = _unit_columns(5, 12, seed)
+    expected = _outcome(_bottom_up, A, cap)
+    orders = _count_ric(monkeypatch)
+    assert _outcome(theory.highest_rip_order, A, cap) == expected
+    assert orders  # a wide matrix skips the full-Gram test
+
+
 def test_theta_orthogonal_measurements():
     # every column lives in coordinates 2..4, y in coordinate 0
     rng = np.random.default_rng(4)
