@@ -9,9 +9,8 @@ and every file the C reader does not accept).
 
 Arrays are checked once, where they enter: every public entry point
 that takes (A, y) calls the one rule ``_system``, one that takes A alone
-``_as_matrix`` and ``_require_finite``; checked code then goes through
-the unchecked cores ``_restricted_ls``, ``_penalized_ls`` and
-``_spectral_norm``.
+``_as_matrix`` and ``_require_finite``; checked code then solves through
+the unchecked core ``_restricted_ls``.
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
@@ -124,13 +123,7 @@ def hard_threshold(v, k):
 
 def _well_conditioned(R):
     diag = np.abs(np.diag(R))
-    return diag.size and _in_ratio(diag.min(), diag.max())
-
-
-def _in_ratio(lo, hi):
-    """The ``_COND_RECIP_LIMIT`` test on the smallest and largest magnitude
-    of a QR factor's diagonal."""
-    return hi > 0 and lo > _COND_RECIP_LIMIT * hi
+    return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
 
 def _solve_submatrix_ls(As, y):
@@ -183,17 +176,12 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     never squared through normal equations.
     """
     A, y = _system(A, y)
-    n = A.shape[1]
-    support = _as_support(support, n)
-    return _penalized_ls(A, y, support, _as_support(penalized, n, name="penalized"), sigma)
-
-
-def _penalized_ls(A, y, support, penalized, sigma):
-    """:func:`penalized_restricted_ls` without its array checks (see
-    :func:`_restricted_ls`); sigma and the subset rule are still checked."""
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    n = A.shape[1]
+    support = _as_support(support, n)
+    penalized = _as_support(penalized, n, name="penalized")
     if penalized.size and not np.isin(penalized, support).all():
         raise ValueError("penalized indices must be a subset of the support")
     if penalized.size == 0:
@@ -205,7 +193,7 @@ def _penalized_ls(A, y, support, penalized, sigma):
     augmented = np.vstack([As, ridge])
     rhs = np.concatenate([y, np.zeros(penalized.size)])
     coef = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
-    x = np.zeros(A.shape[1])
+    x = np.zeros(n)
     x[support] = coef
     return x
 
@@ -214,11 +202,6 @@ def spectral_norm(A):
     """Largest singular value of ``A``, 0.0 for an empty matrix."""
     A = _as_matrix(A)
     _require_finite(A)
-    return _spectral_norm(A)
-
-
-def _spectral_norm(A):
-    """:func:`spectral_norm` of a finite float matrix, unchecked."""
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
@@ -254,11 +237,9 @@ class IncrementalQRSolver:
     precision.  ``degenerate`` is set when an appended column is
     numerically dependent on the factored ones (its orthogonal remainder
     is at most 1e-12 of its norm) or when the support reaches m columns;
-    appends then stop.  They also stop, without ``degenerate``, at the
-    first column that would make R's diagonal fail the
-    ``_COND_RECIP_LIMIT`` test of every QR solve, which no later column
-    can undo.  :meth:`solve` returns None in both cases; callers then fall
-    back to :func:`restricted_least_squares`.
+    appends then stop.  :meth:`solve` returns None in that case and also
+    when R's diagonal fails the ``_COND_RECIP_LIMIT`` test of every QR
+    solve; callers then fall back to :func:`restricted_least_squares`.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
@@ -277,9 +258,6 @@ class IncrementalQRSolver:
         self._t = 0
         self.columns = []
         self.degenerate = False
-        self._ill_conditioned = False
-        # smallest and largest |R_ii| so far, for the ratio test per append
-        self._diagonal = (math.inf, 0.0)
 
     def extended(self, indices):
         """New solver with ``indices`` appended to the factored support.
@@ -296,7 +274,7 @@ class IncrementalQRSolver:
 
     def _append(self, j):
         self.columns.append(j)
-        if self.degenerate or self._ill_conditioned:
+        if self.degenerate:
             return
         a = self._A[:, j]
         t = self._t
@@ -321,11 +299,6 @@ class IncrementalQRSolver:
         if rho <= 1e-12 * max(norm_a, np.finfo(float).tiny):
             self.degenerate = True
             return
-        lo, hi = self._diagonal
-        self._diagonal = lo, hi = min(lo, rho), max(hi, rho)
-        if not _in_ratio(lo, hi):
-            self._ill_conditioned = True
-            return
         buffer = self._buffer
         capacity = buffer.Q.shape[1]
         if buffer.used != t or t == capacity:
@@ -347,9 +320,9 @@ class IncrementalQRSolver:
         x = np.zeros(self._A.shape[1])
         if not self.columns:
             return x
-        if self.degenerate or self._ill_conditioned:
-            return None
         R = self._buffer.R[:self._t, :self._t]
+        if self.degenerate or not _well_conditioned(R):
+            return None
         x[np.asarray(self.columns, dtype=np.int64)] = np.linalg.solve(R, self._buffer.qty[:self._t])
         return x
 

@@ -122,32 +122,37 @@ def _ric(gram, q, cap):
 def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     """Largest order t with delta_t < 1.
 
-    delta_t never decreases in t (Cauchy interlacing), so when the
-    eigensolve of the full n x n Gram matrix puts delta_n below 1 by more
-    than its rounding error, every order passes and n is returned without
-    enumerating supports, whatever ``cap``.  Otherwise the orders are swept
-    bottom-up as by :func:`ric_exact`, and the first failing one is final.
-    A wide A (n > m) has delta_n = 1 exactly and goes straight to the
-    sweep.  Returns 0 when even delta_1 >= 1.  Raises ValueError like
-    ric_exact.
+    The orders are swept bottom-up as by :func:`ric_exact`; delta_t never
+    decreases in t (Cauchy interlacing), so the first failing order is
+    final.  Returns 0 when even delta_1 >= 1.  Past order 1, a tall or
+    square A (n <= m) first gets one eigensolve of its full n x n Gram
+    matrix: when that puts delta_n below 1 by more than the eigensolver's
+    error margin, every order passes and n is returned without
+    enumerating supports, whatever ``cap``.  A wide A has delta_n = 1
+    exactly and is swept.  Raises ValueError like ric_exact.
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
     m, n = A.shape
     gram = A.T @ A
-    if 0 < n <= m:
+    if n and _ric(gram, 1, cap).delta >= 1.0:
+        return 0
+    if 1 < n <= m:
         eigs = np.linalg.eigvalsh(gram)
         # eigvalsh is backward stable: each eigenvalue it computes for a
-        # symmetric s x s matrix H lies within s * eps * ||H||_2 of an exact
-        # one (LAPACK Users' Guide, section 4.7).  The exact spectrum of
-        # every principal submatrix of G lies inside G's (interlacing), and
-        # s <= n, ||G_S||_2 <= ||G||_2, so a delta_t of the sweep exceeds the
-        # delta_n computed here by at most 2 n eps ||G||_2, plus one rounding
-        # of 1 - lambda each (the +1, with ||G||_2 taken as at least 1).
-        tol = 2 * (n + 1) * np.finfo(float).eps * max(float(eigs[-1]), 1.0)
+        # symmetric s x s matrix H lies within p(s) * eps * ||H||_2 of an
+        # exact one, p a modestly growing function (LAPACK Users' Guide,
+        # section 4.7), usually taken as s.  The exact spectrum of every
+        # principal submatrix of G lies inside G's (interlacing), so a
+        # delta_t of the sweep exceeds the delta_n computed here by at most
+        # 2 p(n) eps ||G||_2, plus a rounding of 1 - lambda on each side.
+        # The margin takes p(n) = 8 n, a safety factor of 8 over the usual
+        # reading, and ||G||_2 as at least 1.  An A whose delta_n lies
+        # within that margin of 1 is swept.
+        tol = 2 * (8 * n + 1) * np.finfo(float).eps * max(float(eigs[-1]), 1.0)
         if max(float(eigs[-1]) - 1.0, 1.0 - float(eigs[0])) < 1.0 - tol:
             return n
-    for t in range(1, n + 1):
+    for t in range(2, n + 1):
         if _ric(gram, t, cap).delta >= 1.0:
             return t - 1
     return n
@@ -160,11 +165,7 @@ def theta_constant(A, y):
     maximum is attained on a singleton; only the n one-column projections
     are evaluated.  Raises ValueError on an invalid (A, y).
     """
-    return _theta(*linalg._system(A, y))
-
-
-def _theta(A, y):
-    """:func:`theta_constant` of a checked (A, y)."""
+    A, y = linalg._system(A, y)
     yy = float(y @ y)
     col_sq = np.einsum("ij,ij->j", A, A)
     corr = A.T @ y
@@ -345,10 +346,10 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     enlarged = np.union1d(grown, penalized).astype(np.int64)
 
     x_exact = linalg._restricted_ls(A, y, grown)
-    x_ridge = linalg._penalized_ls(A, y, enlarged, penalized, sigma)
+    x_ridge = linalg.penalized_restricted_ls(A, y, enlarged, penalized, sigma)
 
-    theta = _theta(A, y)
-    proximity_constant = _proximity_constant(linalg._spectral_norm(A), sigma)
+    theta = theta_constant(A, y)
+    proximity_constant = _proximity_constant(linalg.spectral_norm(A), sigma)
 
     lhs = float(np.linalg.norm(A @ (x_ridge - x_exact)))
     rhs = proximity_constant * theta

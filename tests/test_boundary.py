@@ -165,15 +165,14 @@ def test_one_finiteness_scan_per_run(monkeypatch, algorithm, m, n, k, gamma, see
         assert solves
 
 
-@pytest.mark.parametrize("entry", ["verify_projection_proximity", "highest_rip_order"])
-def test_one_finiteness_scan_per_theory_check(monkeypatch, entry):
-    # the proximity check solves, takes theta and the norm through unchecked
-    # cores; highest_rip_order sweeps every order on one checked A
+def test_one_finiteness_scan_per_highest_rip_order(monkeypatch):
+    # unit columns with a duplicate pass order 1 and fail order 2: both
+    # orders of the sweep run on one checked A
     A = np.random.default_rng(31).standard_normal((M, N))
+    A /= np.linalg.norm(A, axis=0)
     A[:, 4] = A[:, 0]
-    vectors = {"y": A @ np.ones(N)}
     scans = _count_calls(monkeypatch, "_require_finite")
-    ENTRY_POINTS[entry][0](A, vectors)
+    assert ENTRY_POINTS["highest_rip_order"][0](A, {}) == 1
     assert len(scans) == 1
 
 

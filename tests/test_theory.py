@@ -121,14 +121,31 @@ def _count_ric(monkeypatch):
     return orders
 
 
+def _count_gram_eigensolves(monkeypatch, n):
+    """The n x n eigensolves that highest_rip_order makes (the sweep's are
+    batched, so 3-D)."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counted(H):
+        shapes.append(np.shape(H))
+        return original(H)
+
+    monkeypatch.setattr(theory.np.linalg, "eigvalsh", counted)
+    return lambda: [s for s in shapes if s == (n, n)]
+
+
 def test_highest_rip_order_settles_a_full_rank_tall_matrix_from_the_gram(monkeypatch):
-    # delta_20 < 1, so every order passes: no support is enumerated, and the
-    # cap that the middle orders (C(20, 10) = 184756 supports) exceed does
-    # not apply.  The sweep raises at order 3, C(20, 3) = 1140 > 1000.
+    # delta_20 < 1, so every order passes: past order 1 no support is
+    # enumerated, and the cap that the middle orders (C(20, 10) = 184756
+    # supports) exceed does not apply.  The sweep raises at order 3,
+    # C(20, 3) = 1140 > 1000.
     A = np.random.default_rng(8).standard_normal((400, 20)) / 20.0
     orders = _count_ric(monkeypatch)
+    gram_solves = _count_gram_eigensolves(monkeypatch, 20)
     assert theory.highest_rip_order(A, cap=1000) == 20
-    assert orders == []
+    assert orders == [1]
+    assert len(gram_solves()) == 1
     with pytest.raises(theory.EnumerationCapExceeded) as err:
         _bottom_up(A, cap=1000)
     assert err.value.q == 3
@@ -143,14 +160,44 @@ def test_highest_rip_order_sweeps_when_delta_n_is_within_rounding_of_one(monkeyp
     assert orders == [1, 2, 3]
 
 
+@pytest.mark.parametrize("scale", [1.5, 0.0])
+def test_highest_rip_order_stops_at_order_one_before_the_gram_eigensolve(monkeypatch, scale):
+    # a tall A with a column of squared norm 2.25 or 0 has delta_1 >= 1: it
+    # gets 0 from the n one-entry supports, as the sweep gives, and pays no
+    # n x n eigensolve
+    A = _with_column(TALL, 3, scale * TALL[:, 3])
+    assert _bottom_up(A) == 0
+    orders = _count_ric(monkeypatch)
+    gram_solves = _count_gram_eigensolves(monkeypatch, 8)
+    assert theory.highest_rip_order(A) == 0
+    assert orders == [1]
+    assert gram_solves() == []
+
+
+def test_highest_rip_order_sweeps_a_tall_matrix_whose_delta_n_reaches_one(monkeypatch):
+    # two unit columns at correlation 1 - 1e-3 give delta_2 < 1, and a
+    # third with squared norm 1.9 pushes delta_3 past 1: the Gram test
+    # fails and the sweep finds 2
+    rng = np.random.default_rng(9)
+    u, v = np.linalg.qr(rng.standard_normal((30, 3)))[0][:, :2].T
+    c = 1 - 1e-3
+    A = np.column_stack([u, c * u + np.sqrt(1 - c * c) * v, np.sqrt(1.9) * v])
+    assert _bottom_up(A) == 2
+    orders = _count_ric(monkeypatch)
+    assert theory.highest_rip_order(A) == 2
+    assert orders == [1, 2, 3]
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("cap", [50, 66, theory.DEFAULT_ENUMERATION_CAP])
 def test_highest_rip_order_on_a_wide_matrix_matches_the_sweep_or_its_cap_error(monkeypatch, seed, cap):
     A = _unit_columns(5, 12, seed)
     expected = _outcome(_bottom_up, A, cap)
     orders = _count_ric(monkeypatch)
+    gram_solves = _count_gram_eigensolves(monkeypatch, 12)
     assert _outcome(theory.highest_rip_order, A, cap) == expected
-    assert orders  # a wide matrix skips the full-Gram test
+    assert orders
+    assert gram_solves() == []  # a wide matrix skips the full-Gram test
 
 
 def test_theta_orthogonal_measurements():
