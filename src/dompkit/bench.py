@@ -13,17 +13,15 @@ fields.  ``_sweep`` draws each trial's problem once, runs every key on
 it, and builds the :class:`SweepResult`, whose CSV header is read off the
 first cell; a grid without cells is rejected before any work.
 
-Trials are embarrassingly parallel: each trial owns its instance, the
-RNG stream is derived from (master seed, instance coordinates, trial
-index), and results are aggregated in task order, so output is identical
-for any worker count and extending the trial count leaves earlier trials
-unchanged.
+Trials are independent: each trial owns its instance and its RNG
+stream, derived from (master seed, instance coordinates, trial index),
+so a sweep's output is fixed by its seed and grid, and extending the
+trial count leaves earlier trials unchanged.
 """
 
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import median
 
@@ -188,20 +186,13 @@ def _format_value(value):
     return str(value)
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require_distinct(values, axis):
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"the sweep grid repeats {axis} {repeated[0]}")
 
 
-def _sweep(name, specs, algorithms, gammas, trials, threads, budget, cells, provenance, solve=None):
+def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, solve=None):
     """Run a sweep's grid, tabulate it and record its provenance.
 
     Each trial's problem is drawn once and every (algorithm, gamma) runs
@@ -229,26 +220,16 @@ def _sweep(name, specs, algorithms, gammas, trials, threads, budget, cells, prov
         for alg, g in keys:
             _config(alg, spec.k, g, budget(spec))
     solve = solve or run_trial
-
-    def task(item):
-        spec, t = item
-        A, x, y = generate_problem(spec, t)
-        threshold = crc_threshold(spec.noise_amplitude)
-        return [solve(A, y, x, alg, spec.k, g, budget(spec), threshold) for alg, g in keys]
-
-    # The filter list is process-wide, so it is set once here, around the
-    # pool, and not inside the tasks, whose exits would restore each
-    # other's state.
+    runs = {key: [(spec, []) for spec in specs] for key in keys}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        results = _parallel_map(task, [(spec, t) for spec in specs for t in range(trials)], threads)
-    rows = [
-        cell
-        for j, (alg, g) in enumerate(keys)
-        for cell in cells(alg, g, [
-            (spec, [r[j] for r in results[i * trials:(i + 1) * trials]]) for i, spec in enumerate(specs)
-        ])
-    ]
+        for i, spec in enumerate(specs):
+            threshold = crc_threshold(spec.noise_amplitude)
+            for t in range(trials):
+                A, x, y = generate_problem(spec, t)
+                for alg, g in keys:
+                    runs[alg, g][i][1].append(solve(A, y, x, alg, spec.k, g, budget(spec), threshold))
+    rows = [cell for (alg, g), key_runs in runs.items() for cell in cells(alg, g, key_runs)]
     payload = {"command": name, "version": __version__, "seed": specs[0].master_seed,
                "algorithms": algorithms, "trials": trials, **provenance}
     payload["build_id"] = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
@@ -283,7 +264,7 @@ def _ensemble_fields(spec):
     return {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude}
 
 
-def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
+def gamma_sweep(spec, gammas, ks, algorithms, trials):
     """Success rate per (algorithm, selection threshold, sparsity) cell.
 
     Every solver runs for at most k iterations, stopping early once the
@@ -292,7 +273,7 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
     gammas = [float(g) for g in gammas]
     ks = [int(k) for k in ks]
     return _sweep(
-        "phase-gamma", [replace(spec, k=k) for k in ks], algorithms, gammas, trials, threads,
+        "phase-gamma", [replace(spec, k=k) for k in ks], algorithms, gammas, trials,
         budget=lambda s: s.k,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "gamma": g, "k": s.k}, _success_stats(outcomes))
@@ -302,7 +283,7 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials, threads=1):
     )
 
 
-def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1):
+def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9):
     """Success rate as a function of the iteration budget.
 
     Each solver runs once per trial, to the largest budget; every smaller
@@ -313,7 +294,7 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1)
     ks = [int(k) for k in ks]
     top = max(budgets)
     return _sweep(
-        "phase-iters", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+        "phase-iters", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials,
         budget=lambda s: top,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "budget": b, "k": s.k}, _success_stats(outcomes, b))
@@ -324,12 +305,12 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9, threads=1)
     )
 
 
-def success_curves(spec, ks, algorithms, trials, gamma=0.9, threads=1):
+def success_curves(spec, ks, algorithms, trials, gamma=0.9):
     """Success rate versus sparsity level, noiseless or noisy per the spec's
     noise amplitude; the noisy criterion is applied automatically."""
     ks = [int(k) for k in ks]
     return _sweep(
-        "phase-k", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials, threads,
+        "phase-k", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials,
         budget=lambda s: None,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "k": s.k}, {
@@ -369,7 +350,6 @@ def scaling_benchmark(
     k_ratio=0.3,
     scaling="raw",
     timed=True,
-    threads=1,
 ):
     """Iterations-to-recovery and runtime across problem sizes.
 
@@ -397,7 +377,7 @@ def scaling_benchmark(
         return outcome, sum(times) / 3.0, median(times)
 
     return _sweep(
-        "scaling", specs, algorithms, [gamma], trials, threads,
+        "scaling", specs, algorithms, [gamma], trials,
         budget=lambda s: None,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "m": s.m, "n": s.n, "k": s.k}, _scaling_stats(entries))

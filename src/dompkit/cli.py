@@ -195,7 +195,8 @@ def build_parser():
         sw.add_argument("--preset", choices=PRESETS, default=PRESETS[0],
                         help="desk: minutes-scale grid; full: the full-scale grid")
         sw.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
-        sw.add_argument("--threads", type=_positive_int, default=1, help="worker cap for trials")
+        sw.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted and ignored: trials run one after another")
         sw.add_argument("--out", default=None, help="CSV path; provenance sidecar written next to it")
         for flag in flags:
             sw.add_argument(f"--{flag}", **_SWEEP_FLAGS[flag][1])
@@ -310,7 +311,7 @@ def _cmd_sweep(args):
         keywords["spec"] = bench.EnsembleSpec(k=keywords["ks"][0], master_seed=args.seed, **ensemble)
     else:
         keywords["master_seed"] = args.seed
-    result = getattr(bench, name)(**keywords, threads=args.threads)
+    result = getattr(bench, name)(**keywords)
     _emit(result.to_csv(), args.out)
     if args.out is not None:
         _emit(result.provenance_json(), args.out + ".meta.json")

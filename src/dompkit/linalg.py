@@ -247,8 +247,7 @@ class IncrementalQRSolver:
     length t.  A column is written in place past the last written one;
     the buffer is copied only when it is full (capacity doubles, up to m)
     or when a snapshot shorter than the buffer is extended, which would
-    overwrite another snapshot's columns.  Snapshots of one solver must
-    therefore not be extended from two threads at once.
+    overwrite another snapshot's columns.
     """
 
     def __init__(self, A, y):

@@ -272,8 +272,8 @@ def test_empty_sweep_grid_fails_before_any_problem(monkeypatch, sweep):
 
 def test_csv_format_and_determinism():
     spec = EnsembleSpec(m=30, n=120, k=3, master_seed=21)
-    res1 = gamma_sweep(spec, [0.5, 1.0], [3], ["domp"], trials=6, threads=1)
-    res2 = gamma_sweep(spec, [0.5, 1.0], [3], ["domp"], trials=6, threads=2)
+    res1 = gamma_sweep(spec, [0.5, 1.0], [3], ["domp"], trials=6)
+    res2 = gamma_sweep(spec, [0.5, 1.0], [3], ["domp"], trials=6)
     csv1, csv2 = res1.to_csv(), res2.to_csv()
     assert csv1 == csv2
     lines = csv1.splitlines()
@@ -312,10 +312,11 @@ def test_sweep_result_files_and_provenance():
     assert "build_id" in meta and "version" in meta
 
 
-def test_parallel_matches_serial_for_scaling():
-    serial = scaling_benchmark([25], ["domp", "omp"], trials=6, master_seed=4, timed=False, threads=1)
-    threaded = scaling_benchmark([25], ["domp", "omp"], trials=6, master_seed=4, timed=False, threads=3)
-    assert serial.to_csv() == threaded.to_csv()
+def test_scaling_repeats_are_byte_identical():
+    first = scaling_benchmark([25], ["domp", "omp"], trials=6, master_seed=4, timed=False)
+    second = scaling_benchmark([25], ["domp", "omp"], trials=6, master_seed=4, timed=False)
+    assert first.to_csv() == second.to_csv()
+    assert first.provenance_json() == second.provenance_json()
 
 
 def test_extending_trial_count_preserves_earlier_outcomes():
@@ -374,14 +375,14 @@ def test_iteration_sweep_scores_every_budget_off_one_run(noise, monkeypatch):
     assert swept.to_csv() == reference.to_csv()
 
 
-def test_pooled_sweep_leaves_the_warning_filters_alone():
-    # The filter list is process-wide: a catch_warnings block per pooled
-    # task lets interleaved tasks restore each other's filters, leaking an
-    # "ignore RuntimeWarning" that silenced run's k >= m warning for good.
+def test_sweep_leaves_the_warning_filters_alone():
+    # A sweep silences RuntimeWarnings only while it runs: a leaked
+    # "ignore RuntimeWarning" filter would silence run's k >= m warning
+    # for good.
     spec = EnsembleSpec(m=20, n=60, k=3, master_seed=0)
     before = list(warnings.filters)
     for _ in range(3):
-        gamma_sweep(spec, [0.5, 0.9], [3, 4], ["domp", "edomp"], trials=20, threads=2)
+        gamma_sweep(spec, [0.5, 0.9], [3, 4], ["domp", "edomp"], trials=20)
         assert warnings.filters == before
     A, _, y = generate_problem(EnsembleSpec(m=4, n=12, k=2, master_seed=0), 0)
     with pytest.warns(RuntimeWarning, match="not below m"):

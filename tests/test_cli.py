@@ -1,7 +1,9 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,12 +328,16 @@ def test_module_entry_point(tmp_path):
     vec = tmp_path / "y.txt"
     linalg.save_matrix(matrix, np.eye(3))
     linalg.save_vector(vec, np.array([0.0, 2.0, 0.0]))
+    # The child must import this checkout's package, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "dompkit", "recover", "--matrix", str(matrix),
          "--measurements", str(vec), "--sparsity", "1", "--algo", "omp"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["estimate"] == {"2": 2.0}
@@ -438,22 +444,21 @@ def _preset_grid(sweep, preset):
         gammas = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
                   0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
         return "gamma_sweep", dict(spec=spec, gammas=gammas, ks=ks, algorithms=["domp", "edomp"],
-                                   trials={"desk": 50, "full": 500}[preset], threads=1)
+                                   trials={"desk": 50, "full": 500}[preset])
     if sweep == "phase-iters":
         spec = bench.EnsembleSpec(m=m, n=n, k=ks[0], master_seed=5)
         budgets = list(range(1, 59, 3)) if preset == "desk" else list(range(1, 179, 3))
         return "iteration_sweep", dict(spec=spec, budgets=budgets, ks=ks, algorithms=["domp", "edomp"],
-                                       trials={"desk": 50, "full": 500}[preset], gamma=0.9, threads=1)
+                                       trials={"desk": 50, "full": 500}[preset], gamma=0.9)
     if sweep == "phase-k":
         ks = list(range(1, 74, 3)) if preset == "desk" else list(range(1, 299, 3))
         spec = bench.EnsembleSpec(m=m, n=n, k=1, master_seed=5)
         return "success_curves", dict(spec=spec, ks=ks, algorithms=FIVE_SOLVERS,
-                                      trials={"desk": 50, "full": 200}[preset], gamma=0.9, threads=1)
+                                      trials={"desk": 50, "full": 200}[preset], gamma=0.9)
     ms = [200, 400, 600, 800, 1000] if preset == "desk" else list(range(200, 2001, 200))
     return "scaling_benchmark", dict(ms=ms, algorithms=FIVE_SOLVERS,
                                      trials={"desk": 10, "full": 50}[preset], master_seed=5,
-                                     gamma=0.9, n_factor=5, k_ratio=0.3, scaling="raw", timed=True,
-                                     threads=1)
+                                     gamma=0.9, n_factor=5, k_ratio=0.3, scaling="raw", timed=True)
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
