@@ -12,9 +12,13 @@ Each solver is a pure step function over an immutable
 applies the stopping tests before every step and yields each state;
 :func:`run` drains it into a report with a per-iteration trace.  States
 carry a snapshot of an incremental QR factorization, and the four
-support-growing solvers re-project through one function, ``_grown``, in
-O(m t) per added column; it falls back to a from-scratch minimum-norm
-solve when the factorization yields no solution.
+support-growing solvers re-project through one function, ``_grown``: it
+appends each added column in O(m t), solves by a product with the R^-1
+the factorization carries, in O(t^2), and reads the new misfit from Q.
+It falls back to a from-scratch minimum-norm solve, and the misfit to a
+gather of A's columns, when the factorization yields no solution.
+CoSaMP, SP and EDOMP past k solve from scratch, from R alone (see
+``linalg._solve_submatrix_ls``).
 
 Termination reasons, tested in this order before each step: the stopping
 rule's kind, "global-optimum" on a numerically zero gradient residual
@@ -117,14 +121,17 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
-def _next_state(A, y, previous, selected, support, x, solver=None):
+def _next_state(A, y, previous, selected, support, x, solver=None, misfit=None):
     """The state after ``previous`` with estimate ``x`` and a fresh residual.
 
-    The misfit y - A x is formed from the columns where x is nonzero, so
-    the gradient A^T (y - A x) is the one O(mn) product of a step.
+    ``misfit`` is y - A x as the factorization that gave x holds it
+    (``IncrementalQRSolver.misfit``); without it the misfit is formed from
+    the columns where x is nonzero.  Either way the gradient
+    A^T (y - A x) is the one O(mn) product of a step.
     """
-    nz = np.flatnonzero(x)
-    misfit = y - A[:, nz] @ x[nz]
+    if misfit is None:
+        nz = np.flatnonzero(x)
+        misfit = y - A[:, nz] @ x[nz]
     return IterateState(
         x=x,
         support=np.asarray(support, dtype=np.int64),
@@ -138,22 +145,28 @@ def _next_state(A, y, previous, selected, support, x, solver=None):
 
 def _grown(A, y, state, added):
     """Grow ``state``'s support by the sorted indices ``added`` and re-project:
-    (support, least-squares x on it, extended solver).
+    (support, least-squares x on it, extended solver, misfit y - A x).
 
     The state's QR is extended by the indices that are new, in ascending
     order; a state without one (EDOMP after a support reset) starts a fresh
-    factorization.  When the factorization cannot be trusted the solve
-    falls back to a from-scratch minimum-norm least squares.
+    factorization.  The misfit is the factorization's.  When the
+    factorization cannot be trusted the solve falls back to a from-scratch
+    minimum-norm least squares, and the misfit is None (left to
+    ``_next_state``).
     """
-    support = np.union1d(state.support, added).astype(np.int64)
+    held = np.zeros(A.shape[1], dtype=bool)
+    held[state.support] = True
+    new = added[~held[added]]
+    held[added] = True
+    support = np.flatnonzero(held)
     if state.solver is None:
         solver = linalg.IncrementalQRSolver(A, y).extended(support)
     else:
-        solver = state.solver.extended(np.setdiff1d(added, state.support, assume_unique=True))
+        solver = state.solver.extended(new)
     x = solver.solve()
     if x is None:
-        x = linalg._restricted_ls(A, y, support)
-    return support, x, solver
+        return support, linalg._restricted_ls(A, y, support), solver, None
+    return support, x, solver, solver.misfit()
 
 
 def omp_step(state, A, y):
@@ -193,12 +206,12 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
     case it is replaced by the support of the thresholded iterate.
     """
     theta = select_dynamic_indices(state.r, k, gamma)
-    support, x, solver = _grown(A, y, state, theta)
+    support, x, solver, misfit = _grown(A, y, state, theta)
     if support.size > k:
-        x = linalg._restricted_ls(A, y, linalg.top_q_indices(x, k))
+        x, misfit = linalg._restricted_ls(A, y, linalg.top_q_indices(x, k)), None
         if reset_support:
             support, solver = np.flatnonzero(x), None
-    return _next_state(A, y, state, theta.size, support, x, solver)
+    return _next_state(A, y, state, theta.size, support, x, solver, misfit)
 
 
 def cosamp_step(state, A, y, k):

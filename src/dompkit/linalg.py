@@ -89,17 +89,22 @@ def top_q_indices(v, q):
     """Indices of the ``q`` largest magnitudes of ``v``, sorted ascending.
 
     Magnitude ties at the selection boundary are broken toward the
-    smaller index (stable sort on exact float comparison), so the result
-    is deterministic.
+    smaller index, and NaN ranks below every number, so the result is the
+    first ``q`` of a stable sort by decreasing magnitude.  Found in O(n):
+    ``np.partition`` gives the q-th largest magnitude, and every index
+    strictly above it is taken, then the smallest-index ties.
     """
     v = _as_vector(v)
     q = int(q)
     if q < 1 or q > v.size:
         raise ValueError(f"q must be in [1, {v.size}], got {q}")
-    order = np.argsort(-np.abs(v), kind="stable")
-    picked = order[:q]
-    picked.sort()
-    return picked
+    magnitudes = np.abs(v)
+    np.fmax(magnitudes, -1.0, out=magnitudes)  # NaN becomes -1, below every |v|
+    kth = np.partition(magnitudes, v.size - q)[v.size - q]
+    picked = magnitudes > kth
+    ties = (magnitudes == kth).nonzero()[0]
+    picked[ties[:q - np.count_nonzero(picked)]] = True
+    return picked.nonzero()[0]
 
 
 def hard_threshold(v, k):
@@ -121,8 +126,9 @@ def hard_threshold(v, k):
     return out
 
 
-def _well_conditioned(R):
-    diag = np.abs(np.diag(R))
+def _well_conditioned(diag):
+    """The ``_COND_RECIP_LIMIT`` test on the diagonal of a triangular factor."""
+    diag = np.abs(diag)
     return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
 
@@ -130,20 +136,22 @@ def _solve_submatrix_ls(As, y):
     """Minimum-norm least-squares coefficients for a column submatrix.
 
     A tall submatrix (no more columns than rows) of full column rank is
-    solved through ``As = QR`` as ``R^-1 Q^T y``.  A wide one of full row
-    rank is solved through ``As^T = QR`` as ``Q R^-T y``, the minimum-norm
-    solution of the underdetermined system.  When R fails the
-    ``_COND_RECIP_LIMIT`` test (rank deficiency or near-collinearity) the
-    solve falls back to an SVD (``lstsq``).
+    solved from R alone: the R factor of ``[As | y]`` holds As's R in its
+    leading s x s block and Q^T y above its last diagonal entry, so Q is
+    never formed, and the coefficients solve ``R[:s, :s] x = R[:s, s]``.
+    A wide one of full row rank is solved through ``As^T = QR`` as
+    ``Q R^-T y``, the minimum-norm solution of the underdetermined system.
+    When R fails the ``_COND_RECIP_LIMIT`` test (rank deficiency or
+    near-collinearity) the solve falls back to an SVD (``lstsq``).
     """
     m, s = As.shape
     if s <= m:
-        Q, R = np.linalg.qr(As)
-        if _well_conditioned(R):
-            return np.linalg.solve(R, Q.T @ y)
+        R = np.linalg.qr(np.column_stack([As, y]), mode="r")
+        if _well_conditioned(np.diag(R)[:s]):
+            return np.linalg.solve(R[:s, :s], R[:s, s])
     else:
         Q, R = np.linalg.qr(As.T)
-        if _well_conditioned(R):
+        if _well_conditioned(np.diag(R)):
             return Q @ np.linalg.solve(R.T, y)
     return np.linalg.lstsq(As, y, rcond=None)[0]
 
@@ -208,23 +216,27 @@ def spectral_norm(A):
 
 
 class _QRBuffer:
-    """Q, R and Q^T y of one growing factorization, with room to append.
+    """Q, R^-1, R's diagonal and Q^T y of one growing factorization, with
+    room to append.
 
     Q is stored C-order with shape (m, capacity): the view ``Q[:, :t]``
     has the layout and transpose flag of a freshly stacked m x t array, so
-    BLAS sums in the same order on it from 4 columns on.  ``used`` counts
-    the columns written so far; solver snapshots of t <= used columns
-    share the buffer.
+    BLAS sums in the same order on it from 4 columns on.  R itself is not
+    kept: nothing reads its strictly upper part once R^-1 is carried.
+    ``used`` counts the columns written so far; solver snapshots of
+    t <= used columns share the buffer.
     """
 
     def __init__(self, m, capacity, source=None, t=0):
         self.Q = np.zeros((m, capacity))
-        self.R = np.zeros((capacity, capacity))
+        self.Rinv = np.zeros((capacity, capacity))
+        self.diag = np.zeros(capacity)
         self.qty = np.zeros(capacity)
         self.used = t
         if t:
             self.Q[:, :t] = source.Q[:, :t]
-            self.R[:t, :t] = source.R[:t, :t]
+            self.Rinv[:t, :t] = source.Rinv[:t, :t]
+            self.diag[:t] = source.diag[:t]
             self.qty[:t] = source.qty[:t]
 
 
@@ -237,9 +249,22 @@ class IncrementalQRSolver:
     precision.  ``degenerate`` is set when an appended column is
     numerically dependent on the factored ones (its orthogonal remainder
     is at most 1e-12 of its norm) or when the support reaches m columns;
-    appends then stop.  :meth:`solve` returns None in that case and also
-    when R's diagonal fails the ``_COND_RECIP_LIMIT`` test of every QR
-    solve; callers then fall back to :func:`restricted_least_squares`.
+    appends then stop.
+
+    The factorization carries R^-1 in place of R: appending the column
+    with Gram-Schmidt coefficients r and remainder norm rho borders R^-1
+    with the column ``-R^-1 r / rho`` over ``1 / rho``, in O(t^2).
+    :meth:`solve` is then the matrix-vector product ``R^-1 Q^T y``, with
+    no factorization of R.  Its error bound is of the order of a
+    triangular solve's with R times ||R^-1|| ||Q^T y|| / ||x|| >= 1
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 8 and 14); on near-collinear supports both reach the same worst
+    case.  R's diagonal is kept for the ``_COND_RECIP_LIMIT`` test of
+    every QR solve.  :meth:`solve` returns None when the factorization is
+    degenerate or fails that test; callers then re-solve from scratch with
+    ``_restricted_ls``.  Otherwise :meth:`misfit` is the residual of its
+    solution, ``y - Q Q^T y``, formed from Q instead of from the columns
+    of A.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
@@ -305,13 +330,15 @@ class IncrementalQRSolver:
             buffer = self._buffer = _QRBuffer(m, grown, buffer, t)
         q = q / rho
         buffer.Q[:, t] = q
-        buffer.R[:t, t] = r
-        buffer.R[t, t] = rho
+        buffer.Rinv[:t, t] = buffer.Rinv[:t, :t] @ r / -rho
+        buffer.Rinv[t, t] = 1.0 / rho
+        buffer.diag[t] = rho
         buffer.qty[t] = q @ self._y
         buffer.used = self._t = t + 1
 
     def solve(self):
-        """Full-length least-squares solution on the factored support.
+        """Full-length least-squares solution on the factored support,
+        ``R^-1 Q^T y`` scattered to the support's positions.
 
         Returns None when the factorization is degenerate or R fails the
         ``_COND_RECIP_LIMIT`` test; callers must then re-solve from scratch.
@@ -319,11 +346,17 @@ class IncrementalQRSolver:
         x = np.zeros(self._A.shape[1])
         if not self.columns:
             return x
-        R = self._buffer.R[:self._t, :self._t]
-        if self.degenerate or not _well_conditioned(R):
+        t = self._t
+        if self.degenerate or not _well_conditioned(self._buffer.diag[:t]):
             return None
-        x[np.asarray(self.columns, dtype=np.int64)] = np.linalg.solve(R, self._buffer.qty[:self._t])
+        x[np.asarray(self.columns, dtype=np.int64)] = self._buffer.Rinv[:t, :t] @ self._buffer.qty[:t]
         return x
+
+    def misfit(self):
+        """The least-squares residual ``y - Q Q^T y`` on the factored support;
+        it is the misfit of :meth:`solve`'s solution when that is not None."""
+        t = self._t
+        return self._y - self._buffer.Q[:, :t] @ self._buffer.qty[:t]
 
 
 class FileFormatError(ValueError):

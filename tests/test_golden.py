@@ -11,6 +11,10 @@ BLAS reordering noise).  The ``recover`` reports of all six solvers and
 the ``ric`` reports read their inputs from text files written with
 ``save_matrix``/``save_vector``; they were recorded before the matrix
 and vector readers shared one reader and are compared byte for byte.
+The six ``recover`` reports were re-recorded once, when the least-squares
+kernel moved to the R of ``[A_S | y]``, the carried R^-1 and the misfit
+from Q: floats moved in their last digits (at most 1.41e-12 relative)
+and no decision field changed.
 
 Re-record only for an intended change of output:
 

@@ -42,6 +42,23 @@ def test_top_q_indices_permutation_consistent():
         assert {int(np.where(perm == i)[0][0]) for i in base} == permuted
 
 
+# Random, tie-heavy (small integers) and special entries: +-inf, NaN, -0.0.
+_SELECTION_ENTRIES = st.one_of(
+    st.floats(width=64),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0]),
+)
+
+
+@given(st.lists(_SELECTION_ENTRIES, min_size=1, max_size=40))
+def test_top_q_indices_is_the_head_of_a_stable_sort(values):
+    # The reference ranks NaN last and breaks ties toward the smaller index.
+    v = np.array(values, dtype=float)
+    order = np.argsort(-np.abs(v), kind="stable")
+    for q in range(1, v.size + 1):
+        assert np.array_equal(linalg.top_q_indices(v, q), np.sort(order[:q]))
+
+
 def test_hard_threshold_examples():
     assert linalg.hard_threshold([3, -5, 2], 1).tolist() == [0, -5, 0]
     # tie at magnitude 1 resolved to the smaller index
@@ -144,6 +161,22 @@ def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypat
     assert np.abs(x[support] - oracle).max() <= 1e-10
     assert x[7] == 0.0
     assert np.allclose(x[:3], x[4:7], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("defect", ["zero", "duplicate"])
+def test_restricted_ls_square_rank_deficient_support_falls_back_to_lstsq(monkeypatch, defect):
+    # s = m is still the tall path (the R of [A_S | y] is m x (m+1)); a zero
+    # or duplicate column fails its conditioning test and lstsq returns the
+    # minimum-norm solution.
+    calls = _counting_lstsq(monkeypatch)
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((7, 10))
+    A[:, 3] = 0.0 if defect == "zero" else A[:, 5]
+    y = rng.standard_normal(7)
+    support = np.arange(7)
+    x = linalg.restricted_least_squares(A, y, support)
+    assert calls == [(7, 7)]
+    assert np.abs(x[support] - np.linalg.pinv(A[:, support]) @ y).max() <= 1e-10
 
 
 def test_restricted_ls_first_order_condition():
@@ -286,6 +319,7 @@ def test_incremental_qr_matches_from_scratch():
         assert x is not None
         expect = linalg.restricted_least_squares(A, y, support)
         assert np.allclose(x, expect, atol=1e-10)
+        assert np.allclose(solver.misfit(), y - A @ x, rtol=0, atol=1e-12)
 
 
 def test_incremental_qr_extended_leaves_original_untouched():
@@ -336,6 +370,33 @@ def test_incremental_qr_grows_past_its_capacity():
     assert np.array_equal(at_once.solve(), solver.solve())
     assert not at_once.degenerate
     assert at_once.extended([perm[40]]).degenerate
+
+
+def test_incremental_qr_near_collinear_supports():
+    # One column is another plus noise of 1e-9 to 1e-5, so cond(A_S) reaches
+    # about 1e9 and R still passes the conditioning test.  The product with
+    # the carried R^-1 stays as close to lstsq, in the worst case, as a
+    # triangular solve on a Householder R (both about 4e-6 here).  The misfit
+    # read from Q stays orthogonal to the support's columns at machine
+    # precision; the gather y - A x loses that (about 1e-7 here).
+    rng = np.random.default_rng(29)
+    worst = worst_reference = 0.0
+    for _ in range(100):
+        A = rng.standard_normal((60, 40))
+        i, j = rng.choice(40, size=2, replace=False)
+        A[:, j] = A[:, i] + 10.0 ** rng.uniform(-9, -5) * rng.standard_normal(60)
+        y = rng.standard_normal(60)
+        oracle = np.linalg.lstsq(A, y, rcond=None)[0]
+        solver = linalg.IncrementalQRSolver(A, y).extended(range(40))
+        x = solver.solve()
+        assert x is not None
+        Q, R = np.linalg.qr(A)
+        reference = np.linalg.solve(R, Q.T @ y)
+        worst = max(worst, np.linalg.norm(x - oracle) / np.linalg.norm(oracle))
+        worst_reference = max(worst_reference, np.linalg.norm(reference - oracle) / np.linalg.norm(oracle))
+        misfit = solver.misfit()
+        assert np.linalg.norm(A.T @ misfit) <= 1e-14 * np.linalg.norm(A, 2) * np.linalg.norm(misfit)
+    assert worst <= 2 * worst_reference
 
 
 def test_incremental_qr_flags_dependent_column():
