@@ -13,8 +13,8 @@ applies the stopping tests before every step and yields each state;
 :func:`run` drains it into a report with a per-iteration trace.  States
 carry a snapshot of an incremental QR factorization, and the four
 support-growing solvers re-project through one function, ``_grown``: it
-appends each added column in O(m t), solves by a product with the R^-1
-the factorization carries, in O(t^2), and reads the new misfit from Q.
+appends the b added columns in one block step, in O(m t b), solves by a
+product with the carried R^-1, in O(t^2), and reads the misfit from Q.
 It falls back to a from-scratch minimum-norm solve, and the misfit to a
 gather of A's columns, when the factorization yields no solution.
 CoSaMP, SP and EDOMP past k solve from scratch, from R alone (see

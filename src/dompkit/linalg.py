@@ -129,7 +129,7 @@ def hard_threshold(v, k):
 def _well_conditioned(diag):
     """The ``_COND_RECIP_LIMIT`` test on the diagonal of a triangular factor."""
     diag = np.abs(diag)
-    return diag.size and diag.max() > 0 and diag.min() > _COND_RECIP_LIMIT * diag.max()
+    return diag.size and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
 
 def _solve_submatrix_ls(As, y):
@@ -216,13 +216,10 @@ def spectral_norm(A):
 
 
 class _QRBuffer:
-    """Q, R^-1, R's diagonal and Q^T y of one growing factorization, with
-    room to append.
+    """Q, R^-1 and Q^T y of one growing factorization, with room to append.
 
-    Q is stored C-order with shape (m, capacity): the view ``Q[:, :t]``
-    has the layout and transpose flag of a freshly stacked m x t array, so
-    BLAS sums in the same order on it from 4 columns on.  R itself is not
-    kept: nothing reads its strictly upper part once R^-1 is carried.
+    Q has shape (m, capacity).  R itself is not kept: nothing reads it once
+    R^-1 is carried, and the diagonal of R^-1 holds the reciprocals of R's.
     ``used`` counts the columns written so far; solver snapshots of
     t <= used columns share the buffer.
     """
@@ -230,49 +227,52 @@ class _QRBuffer:
     def __init__(self, m, capacity, source=None, t=0):
         self.Q = np.zeros((m, capacity))
         self.Rinv = np.zeros((capacity, capacity))
-        self.diag = np.zeros(capacity)
         self.qty = np.zeros(capacity)
         self.used = t
         if t:
             self.Q[:, :t] = source.Q[:, :t]
             self.Rinv[:t, :t] = source.Rinv[:t, :t]
-            self.diag[:t] = source.diag[:t]
             self.qty[:t] = source.qty[:t]
 
 
 class IncrementalQRSolver:
-    """QR factorization of a column submatrix grown one column at a time.
+    """QR factorization of a column submatrix, grown a block at a time.
 
-    Appending a column costs O(m t) where t is the current support size,
-    against O(m t^2) for a from-scratch refactorization.  Gram-Schmidt
-    with one reorthogonalization pass keeps Q orthonormal to machine
-    precision.  ``degenerate`` is set when an appended column is
-    numerically dependent on the factored ones (its orthogonal remainder
-    is at most 1e-12 of its norm) or when the support reaches m columns;
-    appends then stop.
+    Appending b columns to t factored ones costs O(m t b), against
+    O(m (t + b)^2) for a refactorization; OMP's one column is the case
+    b = 1.  The block is projected against Q twice, which keeps Q
+    orthonormal to machine precision (block classical Gram-Schmidt with
+    one reorthogonalization: Barlow and Smoktunowicz, Numer. Math. 123,
+    2013), and its remainder takes one Householder QR.  That QR's leading
+    j columns are the QR of the block's leading j columns, so the block is
+    cut exactly: before its first numerically dependent column (a diagonal
+    entry of the block's R at most 1e-12 of its column's norm) and at m
+    factored columns.  A cut sets ``degenerate``; appends then stop.
 
-    The factorization carries R^-1 in place of R: appending the column
-    with Gram-Schmidt coefficients r and remainder norm rho borders R^-1
-    with the column ``-R^-1 r / rho`` over ``1 / rho``, in O(t^2).
-    :meth:`solve` is then the matrix-vector product ``R^-1 Q^T y``, with
-    no factorization of R.  Its error bound is of the order of a
-    triangular solve's with R times ||R^-1|| ||Q^T y|| / ||x|| >= 1
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    ch. 8 and 14); on near-collinear supports both reach the same worst
-    case.  R's diagonal is kept for the ``_COND_RECIP_LIMIT`` test of
-    every QR solve.  :meth:`solve` returns None when the factorization is
-    degenerate or fails that test; callers then re-solve from scratch with
-    ``_restricted_ls``.  Otherwise :meth:`misfit` is the residual of its
-    solution, ``y - Q Q^T y``, formed from Q instead of from the columns
-    of A.
+    The factorization carries R^-1 in place of R: a block with projection
+    coefficients R12 and triangular factor R22 borders R^-1 with
+    ``-R^-1 R12 R22^-1`` over ``R22^-1``.  :meth:`solve` is then the
+    matrix-vector product ``R^-1 Q^T y``, with no factorization of R.  Its
+    error bound is of the order of a triangular solve's with R times
+    ||R^-1|| ||Q^T y|| / ||x|| >= 1 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 8 and 14); on near-collinear
+    supports both reach the same worst case.  The ``_COND_RECIP_LIMIT``
+    test of every QR solve reads the diagonal of R^-1, the reciprocals of
+    R's.  :meth:`solve` returns None when the factorization is degenerate
+    or fails that test, and callers re-solve from scratch with
+    ``_restricted_ls``; appends stop then too, as R's smallest diagonal
+    magnitude only falls and its largest only rises.  Otherwise
+    :meth:`misfit` is the residual of its solution, ``y - Q Q^T y``,
+    formed from Q instead of from the columns of A.
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
     share one append-only buffer (see ``_QRBuffer``) up to their own
-    length t.  A column is written in place past the last written one;
-    the buffer is copied only when it is full (capacity doubles, up to m)
-    or when a snapshot shorter than the buffer is extended, which would
-    overwrite another snapshot's columns.
+    length t.  A block is written in place past the last written column;
+    the buffer is copied only when the block does not fit (capacity
+    doubles, or grows to fit the block, up to m) or when a snapshot
+    shorter than the buffer is extended, which would overwrite another
+    snapshot's columns.
     """
 
     def __init__(self, A, y):
@@ -282,6 +282,8 @@ class IncrementalQRSolver:
         self._t = 0
         self.columns = []
         self.degenerate = False
+        # Not degenerate, and R passes the _COND_RECIP_LIMIT test.
+        self._solvable = True
 
     def extended(self, indices):
         """New solver with ``indices`` appended to the factored support.
@@ -289,52 +291,46 @@ class IncrementalQRSolver:
         The new solver shares the receiver's buffer and copies only the
         column list; appending never changes the receiver's t columns.
         """
+        indices = np.asarray(indices, dtype=np.int64)
         new = IncrementalQRSolver.__new__(IncrementalQRSolver)
         new.__dict__.update(self.__dict__)
-        new.columns = list(self.columns)
-        for j in indices:
-            new._append(int(j))
+        new.columns = self.columns + indices.tolist()
+        if indices.size and self._solvable:
+            new._append(indices)
         return new
 
-    def _append(self, j):
-        self.columns.append(j)
-        if self.degenerate:
-            return
-        a = self._A[:, j]
-        t = self._t
+    def _append(self, indices):
+        """Factor the columns ``indices`` of A in one block step."""
         m = self._A.shape[0]
-        if t >= m:
-            self.degenerate = True
-            return
+        t = self._t
+        W = self._A[:, indices]
+        tol = 1e-12 * np.linalg.norm(W, axis=0)
         Q = self._buffer.Q[:, :t]
-        if t < 4:
-            # OpenBLAS takes another summation order for Q^T a on fewer than
-            # 4 strided columns; a contiguous copy (at most 3m values) keeps
-            # the factorization bit-identical to one of stacked columns.
-            Q = np.ascontiguousarray(Q)
-        r = Q.T @ a
-        q = a - Q @ r
-        # Second Gram-Schmidt pass restores orthogonality lost to cancellation.
-        corr = Q.T @ q
-        r = r + corr
-        q = q - Q @ corr
-        rho = float(np.linalg.norm(q))
-        norm_a = float(np.linalg.norm(a))
-        if rho <= 1e-12 * max(norm_a, np.finfo(float).tiny):
-            self.degenerate = True
-            return
-        buffer = self._buffer
-        capacity = buffer.Q.shape[1]
-        if buffer.used != t or t == capacity:
-            grown = capacity if t < capacity else min(m, max(8, 2 * capacity))
-            buffer = self._buffer = _QRBuffer(m, grown, buffer, t)
-        q = q / rho
-        buffer.Q[:, t] = q
-        buffer.Rinv[:t, t] = buffer.Rinv[:t, :t] @ r / -rho
-        buffer.Rinv[t, t] = 1.0 / rho
-        buffer.diag[t] = rho
-        buffer.qty[t] = q @ self._y
-        buffer.used = self._t = t + 1
+        R12 = Q.T @ W
+        W -= Q @ R12
+        # Second projection restores orthogonality lost to cancellation.
+        corr = Q.T @ W
+        R12 += corr
+        W -= Q @ corr
+        Qb, R22 = np.linalg.qr(W)
+        dependent = (np.abs(R22.diagonal()) <= tol[:R22.shape[0]]).nonzero()[0]
+        k = min(dependent[0] if dependent.size else R22.shape[0], m - t)
+        self.degenerate = k < indices.size
+        if k:
+            buffer = self._buffer
+            capacity = buffer.Q.shape[1]
+            grown = capacity if t + k <= capacity else min(m, max(8, 2 * capacity, t + k))
+            if buffer.used != t or grown != capacity:
+                buffer = self._buffer = _QRBuffer(m, grown, buffer, t)
+            Qb = Qb[:, :k]
+            R22inv = np.linalg.inv(R22[:k, :k])
+            buffer.Q[:, t:t + k] = Qb
+            buffer.Rinv[:t, t:t + k] = buffer.Rinv[:t, :t] @ R12[:, :k] @ -R22inv
+            buffer.Rinv[t:t + k, t:t + k] = R22inv
+            buffer.qty[t:t + k] = self._y @ Qb
+            buffer.used = self._t = t + k
+        self._solvable = not self.degenerate and _well_conditioned(
+            self._buffer.Rinv.diagonal()[:self._t])
 
     def solve(self):
         """Full-length least-squares solution on the factored support,
@@ -346,9 +342,9 @@ class IncrementalQRSolver:
         x = np.zeros(self._A.shape[1])
         if not self.columns:
             return x
-        t = self._t
-        if self.degenerate or not _well_conditioned(self._buffer.diag[:t]):
+        if not self._solvable:
             return None
+        t = self._t
         x[np.asarray(self.columns, dtype=np.int64)] = self._buffer.Rinv[:t, :t] @ self._buffer.qty[:t]
         return x
 

@@ -14,11 +14,16 @@ and vector readers shared one reader and are compared byte for byte.
 The six ``recover`` reports were re-recorded once, when the least-squares
 kernel moved to the R of ``[A_S | y]``, the carried R^-1 and the misfit
 from Q: floats moved in their last digits (at most 1.41e-12 relative)
+and no decision field changed.  The omp, gomp, domp and edomp reports
+were re-recorded again when the incremental QR moved to one block append
+per step: floats moved in their last digits (at most 2.42e-13 relative)
 and no decision field changed.
 
-Re-record only for an intended change of output:
+Re-record only for an intended change of output, and only the goldens
+it changes, named as the tests name them (all of them when none is
+named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py recover-omp recover-gomp
 """
 
 import json
@@ -145,11 +150,17 @@ def test_file_command_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    known = [*SWEEPS, *VERIFY, *RECOVER, *RIC]
+    names = sys.argv[1:] or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        sys.exit(f"unknown golden(s): {', '.join(unknown)}; known: {', '.join(known)}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name in SWEEPS:
-        _run_sweep(name, GOLDEN)
-    for name in VERIFY:
-        _run_verify(name, GOLDEN)
-    for name in [*RECOVER, *RIC]:
-        _run_file_command(name, (GOLDEN / f"{name}.json").resolve())
+    for name in names:
+        if name in SWEEPS:
+            _run_sweep(name, GOLDEN)
+        elif name in VERIFY:
+            _run_verify(name, GOLDEN)
+        else:
+            _run_file_command(name, (GOLDEN / f"{name}.json").resolve())
     sys.exit(0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dompkit import linalg
+from dompkit import algorithms, linalg
 
 
 def test_top_q_indices_basic():
@@ -367,7 +367,7 @@ def test_incremental_qr_grows_past_its_capacity():
         expect = linalg.restricted_least_squares(A, y, order[:t])
         assert np.allclose(solver.solve(), expect, rtol=0, atol=1e-9)
     at_once = linalg.IncrementalQRSolver(A, y).extended(order)
-    assert np.array_equal(at_once.solve(), solver.solve())
+    assert np.allclose(at_once.solve(), expect, rtol=0, atol=1e-9)
     assert not at_once.degenerate
     assert at_once.extended([perm[40]]).degenerate
 
@@ -407,6 +407,79 @@ def test_incremental_qr_flags_dependent_column():
     solver = linalg.IncrementalQRSolver(A, y).extended([1, 2, 4])
     assert solver.degenerate
     assert solver.solve() is None
+    # Mid-block, the block is cut before the copy: its leading two columns
+    # are factored, and every index stays listed.
+    solver = linalg.IncrementalQRSolver(A, y).extended([0, 1, 4, 2])
+    assert solver.degenerate
+    assert solver._t == 2
+    assert solver.columns == [0, 1, 4, 2]
+    assert solver.solve() is None
+    two = linalg.restricted_least_squares(A, y, [0, 1])
+    assert np.allclose(solver.misfit(), y - A @ two, rtol=0, atol=1e-12)
+    # A DOMP step that selects the copy mid-block falls back to a
+    # from-scratch solve on the whole support.
+    A[:, 2:4] *= 1e-3
+    state = algorithms.domp_step(algorithms.initial_state(A, y), A, y, 4, 1e-6)
+    assert state.support.tolist() == [0, 1, 4, 5]
+    assert state.solver.degenerate
+    assert np.array_equal(state.x, linalg.restricted_least_squares(A, y, [0, 1, 4, 5]))
+
+
+def test_incremental_qr_cuts_a_block_at_m_columns():
+    # Column 5 is column 4 plus noise of 1e-10: it is independent, but the
+    # pair pins the block's span only to about 1e-6, so the block's third
+    # diagonal entry is rounding of about 1e-7 of its column's norm, above
+    # the dependence test.  Only the cut at m columns stops the block there.
+    rng = np.random.default_rng(0)
+    m = 6
+    A = rng.standard_normal((m, 12))
+    A[:, 5] = A[:, 4] + 1e-10 * rng.standard_normal(m)
+    y = rng.standard_normal(m)
+    base = linalg.IncrementalQRSolver(A, y).extended([0, 1, 2, 3])
+    crossing = base.extended([4, 5, 6, 7, 8])
+    assert crossing.degenerate
+    assert crossing._t == m
+    assert crossing.columns == list(range(9))
+    exact = base.extended([4, 6])
+    assert not exact.degenerate
+    assert exact._t == m
+    expect = linalg.restricted_least_squares(A, y, [0, 1, 2, 3, 4, 6])
+    assert np.allclose(exact.solve(), expect, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_incremental_qr_any_split_into_blocks_agrees(data):
+    # One order of a tall A's columns, some of them copies or zero, appended
+    # in blocks split anywhere: every split stops at the first dependent
+    # column, and solves and misfits agree with the from-scratch solve.
+    m, n = 12, 9
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=3)):
+        A[:, j] = A[:, i]
+    A[:, data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    y = rng.standard_normal(m)
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))))
+    independent = next((p for p, j in enumerate(order)
+                        if not A[:, j].any()
+                        or any(np.array_equal(A[:, j], A[:, i]) for i in order[:p])), n)
+    solver = linalg.IncrementalQRSolver(A, y)
+    for block in np.split(np.array(order), cuts):
+        solver = solver.extended(block)
+        factored = A[:, solver.columns[:solver._t]]
+        misfit = solver.misfit()
+        assert np.linalg.norm(factored.T @ misfit) <= (
+            1e-14 * np.linalg.norm(factored, 2) * np.linalg.norm(misfit))
+        if solver.degenerate:
+            assert solver.solve() is None
+        else:
+            expect = linalg.restricted_least_squares(A, y, solver.columns)
+            assert np.allclose(solver.solve(), expect, rtol=0, atol=1e-9)
+    assert solver.degenerate == (independent < n)
+    assert solver._t == independent
 
 
 def test_matrix_file_roundtrip(tmp_path):
@@ -500,6 +573,7 @@ def test_incremental_qr_ratio_rule_is_applied_at_solve_time():
     assert grown.solve() is None
     assert not grown.degenerate
     assert grown.columns == [0, 1, 2, 3]
+    assert grown._t == 3
 
 
 # Number formats that numpy's C reader converts; tokens that it rejects,
