@@ -20,6 +20,11 @@ gather of A's columns, when the factorization yields no solution.
 CoSaMP, SP and EDOMP past k solve from scratch, from R alone (see
 ``linalg._solve_submatrix_ls``).
 
+A run can resume from a state of another (``iterate``'s ``start``).
+DOMP and EDOMP take the same steps until EDOMP first thresholds
+(``_dynamic_common``), and a dynamic solver's report names the last
+state the two share, so a run of one resumes from the other's.
+
 Termination reasons, tested in this order before each step: the stopping
 rule's kind, "global-optimum" on a numerically zero gradient residual
 (which covers a solver with nothing left to select, so no step is taken
@@ -214,6 +219,19 @@ def edomp_step(state, A, y, k, gamma, reset_support=False):
     return _next_state(A, y, state, theta.size, support, x, solver, misfit)
 
 
+def _dynamic_common(state, k):
+    """Whether ``state`` can be one that DOMP and EDOMP both reach.
+
+    The two step alike (bit for bit) until EDOMP's first thresholded
+    step, the first whose accumulated support exceeds k.  That state holds
+    more than k indices or, under ``reset_support``, no factorization (see
+    ``_grown``); so the states the two runs share are the ones before the
+    first state for which this is false.  Later states of a reset run can
+    pass the test again and are not shared.
+    """
+    return state.support.size <= k and state.solver is not None
+
+
 def cosamp_step(state, A, y, k):
     """One CoSaMP iteration: merge the top-2k gradient indices into the
     current support, least squares on the union, keep the k largest
@@ -362,6 +380,11 @@ class AlgorithmReport:
     gradient_norm: float
     success: bool | None = None
     relative_error: float | None = None
+    # The last state that a DOMP and an EDOMP run with the same parameters
+    # both reach, and not the run's last state (None for the other solvers
+    # and for a run that took no step): :func:`run` with the other dynamic
+    # solver resumes from it (``start=``) and replays that solver's run.
+    shared_state: IterateState | None = field(default=None, repr=False, compare=False)
 
 
 def _trace_entry(state):
@@ -421,7 +444,7 @@ def _step(config, A, y):
     return lambda s: _stalled(s, edomp_step(s, A, y, k, gamma, config.reset_support))
 
 
-def iterate(A, y, config, truth=None):
+def iterate(A, y, config, truth=None, start=None):
     """Run the configured solver on (A, y), yielding each state.
 
     The zero iterate comes first, then one state per accepted step.  The
@@ -430,11 +453,21 @@ def iterate(A, y, config, truth=None):
     that rule requires it.  Non-finite A, y or truth, mismatched shapes
     (truth must have length n) and k > n raise ValueError before the first
     state.
+
+    ``start`` resumes a run: it comes first in place of the zero iterate,
+    and the states after it and the termination are those of the run from
+    the zero iterate, provided ``start`` is a state that run reaches and
+    not its last.  Such a state is one of an earlier run of this solver on
+    the same (A, y, truth) with the same parameters, or its
+    ``AlgorithmReport.shared_state`` for the other dynamic solver.  States
+    are immutable, and a QR snapshot copies its buffer when it is extended
+    a second time, so an earlier run is left as it was.
     """
     A, y, truth = _validated(A, y, config, truth)
     step = _step(config, A, y)
-    state = initial_state(A, y)
-    zero_scale = np.abs(state.r).max() if y.any() else 0.0
+    state = initial_state(A, y) if start is None else start
+    # The zero iterate's gradient A^T y sets the scale, also on a resumed run.
+    zero_scale = np.abs(state.r if start is None else A.T @ y).max() if y.any() else 0.0
     yield state
     while True:
         if config.stopping is not None and config.stopping.satisfied(state, truth):
@@ -451,7 +484,7 @@ def iterate(A, y, config, truth=None):
             return reason
 
 
-def run(A, y, config, truth=None, success_threshold=1e-5):
+def run(A, y, config, truth=None, success_threshold=1e-5, start=None):
     """Run the configured solver on (A, y) and report the full trace.
 
     Deterministic given its inputs.  ``truth`` goes to :func:`iterate`,
@@ -459,9 +492,14 @@ def run(A, y, config, truth=None, success_threshold=1e-5):
     given, the report carries the relative error and a success flag at
     ``success_threshold``.  Raises ValueError on invalid input (see
     :func:`iterate`) and warns when k is not below m.
+
+    ``start`` goes to :func:`iterate`.  A resumed report is the one of the
+    run from the zero iterate, except that its trace holds only the states
+    after ``start`` and its ``wall_time`` covers only their steps;
+    ``iterations`` still counts every step from the zero iterate.
     """
     started = time.perf_counter()
-    states = iterate(A, y, config, truth)
+    states = iterate(A, y, config, truth, start=start)
     state = next(states)
     m = np.shape(y)[0]
     if config.k >= m:
@@ -472,12 +510,17 @@ def run(A, y, config, truth=None, success_threshold=1e-5):
             stacklevel=2,
         )
     trace = []
+    shared = None
+    common = config.algorithm in DYNAMIC_SOLVERS and _dynamic_common(state, config.k)
     while True:
+        previous = state
         try:
             state = next(states)
         except StopIteration as stop:
             reason = stop.value
             break
+        if common:
+            shared, common = previous, _dynamic_common(state, config.k)
         trace.append(_trace_entry(state))
     success = None
     rel = None
@@ -496,4 +539,5 @@ def run(A, y, config, truth=None, success_threshold=1e-5):
         gradient_norm=float(np.linalg.norm(state.r)),
         success=success,
         relative_error=rel,
+        shared_state=shared,
     )

@@ -10,8 +10,10 @@ The four experiments are declarations on one function, ``_sweep``: each
 names its ensembles, its (algorithm, gamma) grid, its iteration budget,
 the cells it tabulates from one key's outcomes, and its provenance
 fields.  ``_sweep`` draws each trial's problem once, runs every key on
-it, and builds the :class:`SweepResult`, whose CSV header is read off the
-first cell; a grid without cells is rejected before any work.
+it (the EDOMP run of a gamma resumes from the steps it shares with the
+DOMP run, or the reverse), and builds the :class:`SweepResult`, whose
+CSV header is read off the first cell; a grid without cells is rejected
+before any work.
 
 Trials are independent: each trial owns its instance and its RNG
 stream, derived from (master seed, instance coordinates, trial index),
@@ -28,7 +30,7 @@ from statistics import median
 import numpy as np
 
 from . import __version__
-from .algorithms import DYNAMIC_SOLVERS, AlgorithmConfig, StoppingRule, run
+from .algorithms import DYNAMIC_SOLVERS, AlgorithmConfig, IterateState, StoppingRule, run
 from .linalg import top_q_indices
 
 __all__ = [
@@ -110,13 +112,23 @@ def crc_threshold(noise_amplitude):
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one recovery attempt against a known target."""
+    """Result of one recovery attempt against a known target.
+
+    ``iterations`` counts every step from the zero iterate.  ``wall_time``
+    is the run's own clock (``AlgorithmReport.wall_time``): for a run that
+    resumed from a shared state it covers only the steps after that state.
+    Only the timed reruns of :func:`scaling_benchmark` read it, and they
+    never resume.  ``shared_state`` is the run's
+    ``AlgorithmReport.shared_state``, which the other dynamic solver's run
+    on the same problem can resume from.
+    """
 
     success: bool
     relative_error: float
     support_match: bool
     iterations: int
     wall_time: float
+    shared_state: IterateState | None = field(default=None, repr=False, compare=False)
 
 
 def _config(algorithm, k, gamma, budget, **extra):
@@ -125,11 +137,14 @@ def _config(algorithm, k, gamma, budget, **extra):
     return AlgorithmConfig(algorithm, k=k, gamma=gamma, max_iterations=budget, **extra)
 
 
-def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
-    """Run one recovery and score it against the target."""
+def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold, start=None):
+    """Run one recovery and score it against the target.
+
+    ``start`` resumes the run from a state (see ``algorithms.iterate``).
+    """
     stopping = StoppingRule.relative_error(threshold)
     config = _config(algorithm, k, gamma, budget, stopping=stopping)
-    report = run(A, y, config, truth=truth, success_threshold=threshold)
+    report = run(A, y, config, truth=truth, success_threshold=threshold, start=start)
     support_match = bool(
         np.array_equal(top_q_indices(report.x, k), top_q_indices(truth, k))
     )
@@ -139,6 +154,7 @@ def run_trial(A, y, truth, algorithm, k, gamma, budget, threshold):
         support_match=support_match,
         iterations=report.iterations,
         wall_time=report.wall_time,
+        shared_state=report.shared_state,
     )
 
 
@@ -192,21 +208,26 @@ def _require_distinct(values, axis):
         raise ValueError(f"the sweep grid repeats {axis} {repeated[0]}")
 
 
-def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, solve=None):
+def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, rerun=None):
     """Run a sweep's grid, tabulate it and record its provenance.
 
     Each trial's problem is drawn once and every (algorithm, gamma) runs
-    on it once with ``budget(spec)`` iterations (None: the solver's
-    default).  ``solve`` replaces :func:`run_trial` and may return
-    anything.  ``cells(algorithm, gamma, runs)`` turns the results of one
-    (algorithm, gamma), given as ``runs``, a list of (spec, per-trial
-    results) in spec order, into that key's cells; the CSV header is read
-    off the first cell.  ``provenance`` holds the sweep's own sidecar
-    fields; this adds the command, version, seed, algorithms, trial
-    count and build id.  Every cell's configuration is built before the
-    first problem is drawn, so an empty or invalid grid, one that repeats
-    a key or an ensemble, or ``trials < 1`` raises ValueError without
-    doing any work.
+    on it once, through :func:`run_trial`, with ``budget(spec)``
+    iterations (None: the solver's default).  Of the DOMP and the EDOMP
+    run at one gamma, the second resumes from the first's
+    ``shared_state``, so the steps the two share are taken once and each
+    outcome is that of its run from the zero iterate.  A run's result is
+    its :class:`TrialOutcome`, or, with ``rerun``, the outcome followed by
+    the items of ``rerun(A, y, truth, algorithm, k, gamma, budget,
+    threshold)``, called after the run.  ``cells(algorithm, gamma, runs)``
+    turns the results of one (algorithm, gamma), given as ``runs``, a list
+    of (spec, per-trial results) in spec order, into that key's cells; the
+    CSV header is read off the first cell.  ``provenance`` holds the
+    sweep's own sidecar fields; this adds the command, version, seed,
+    algorithms, trial count and build id.  Every cell's configuration is
+    built before the first problem is drawn, so an empty or invalid grid,
+    one that repeats a key or an ensemble, or ``trials < 1`` raises
+    ValueError without doing any work.
     """
     algorithms = list(algorithms)
     keys = [(alg, g) for alg in algorithms for g in gammas]
@@ -219,7 +240,6 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, s
     for spec in specs:
         for alg, g in keys:
             _config(alg, spec.k, g, budget(spec))
-    solve = solve or run_trial
     runs = {key: [(spec, []) for spec in specs] for key in keys}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -227,8 +247,16 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, s
             threshold = crc_threshold(spec.noise_amplitude)
             for t in range(trials):
                 A, x, y = generate_problem(spec, t)
+                shared = {}  # gamma -> the first dynamic run's shared state
                 for alg, g in keys:
-                    runs[alg, g][i][1].append(solve(A, y, x, alg, spec.k, g, budget(spec), threshold))
+                    trial = (A, y, x, alg, spec.k, g, budget(spec), threshold)
+                    dynamic = alg in DYNAMIC_SOLVERS
+                    outcome = run_trial(*trial, shared.get(g) if dynamic else None)
+                    if dynamic:
+                        shared.setdefault(g, outcome.shared_state)
+                    # the stored outcome must not keep the problem alive
+                    outcome = replace(outcome, shared_state=None)
+                    runs[alg, g][i][1].append(outcome if rerun is None else (outcome, *rerun(*trial)))
     rows = [cell for (alg, g), key_runs in runs.items() for cell in cells(alg, g, key_runs)]
     payload = {"command": name, "version": __version__, "seed": specs[0].master_seed,
                "algorithms": algorithms, "trials": trials, **provenance}
@@ -359,7 +387,8 @@ def scaling_benchmark(
     performs one warm-up run and three timed runs, each timed by the run's
     own clock (``TrialOutcome.wall_time``; mean and median-of-3 reported);
     disabling it zeroes the runtime columns so the CSV is
-    byte-reproducible.
+    byte-reproducible.  The warm-up and timed runs start from the zero
+    iterate, never from a shared state.
     """
     ms = [int(m) for m in ms]
     specs = [
@@ -368,13 +397,12 @@ def scaling_benchmark(
         for m in ms
     ]
 
-    def solve(*trial):
-        outcome = run_trial(*trial)
+    def rerun(*trial):
         if not timed:
-            return outcome, 0.0, 0.0
+            return 0.0, 0.0
         run_trial(*trial)
         times = [run_trial(*trial).wall_time for _ in range(3)]
-        return outcome, sum(times) / 3.0, median(times)
+        return sum(times) / 3.0, median(times)
 
     return _sweep(
         "scaling", specs, algorithms, [gamma], trials,
@@ -385,5 +413,5 @@ def scaling_benchmark(
         ],
         provenance={"spec": {"n_factor": n_factor, "k_ratio": k_ratio, "scaling": scaling},
                     "ms": ms, "gamma": gamma, "timed": timed},
-        solve=solve,
+        rerun=rerun,
     )

@@ -139,8 +139,10 @@ def _solve_submatrix_ls(As, y):
     solved from R alone: the R factor of ``[As | y]`` holds As's R in its
     leading s x s block and Q^T y above its last diagonal entry, so Q is
     never formed, and the coefficients solve ``R[:s, :s] x = R[:s, s]``.
-    A wide one of full row rank is solved through ``As^T = QR`` as
-    ``Q R^-T y``, the minimum-norm solution of the underdetermined system.
+    A wide one of full row rank is solved from the R of ``As^T = QR`` by
+    the seminormal equations: the minimum-norm solution ``Q R^-T y`` is
+    ``As^T R^-1 R^-T y``, as ``Q = As^T R^-1``, so Q is never formed either
+    (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996).
     When R fails the ``_COND_RECIP_LIMIT`` test (rank deficiency or
     near-collinearity) the solve falls back to an SVD (``lstsq``).
     """
@@ -150,9 +152,9 @@ def _solve_submatrix_ls(As, y):
         if _well_conditioned(np.diag(R)[:s]):
             return np.linalg.solve(R[:s, :s], R[:s, s])
     else:
-        Q, R = np.linalg.qr(As.T)
+        R = np.linalg.qr(As.T, mode="r")
         if _well_conditioned(np.diag(R)):
-            return Q @ np.linalg.solve(R.T, y)
+            return As.T @ np.linalg.solve(R, np.linalg.solve(R.T, y))
     return np.linalg.lstsq(As, y, rcond=None)[0]
 
 

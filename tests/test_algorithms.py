@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dompkit import algorithms, linalg
 from dompkit.algorithms import (
@@ -348,9 +350,9 @@ def test_run_max_iterations_zero():
     assert report.trace == []
 
 
-def _drain(A, y, config, truth=None):
+def _drain(A, y, config, truth=None, start=None):
     """Every state of a run and its termination reason."""
-    states, run_states = [], iterate(A, y, config, truth)
+    states, run_states = [], iterate(A, y, config, truth, start=start)
     while True:
         try:
             states.append(next(run_states))
@@ -641,3 +643,59 @@ def test_growing_step_extends_by_the_new_indices_and_repeats_bytewise(monkeypatc
     assert _state_bytes(first) == _state_bytes(second)
     new = sorted(set(selection(state.r).tolist()) - set(state.support.tolist()))
     assert new and extensions == [new, new]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_dynamic_run_resumed_from_the_other_solvers_shared_state_is_its_own_run(data):
+    # DOMP and EDOMP step alike until EDOMP first thresholds, so each
+    # resumes from the state the other reports as shared and replays its
+    # run from the zero iterate: same states, bytes and termination.
+    # Wide, tall and noisy problems, a duplicated column that sends the QR
+    # to its fallback, gamma in (0, 1], budgets below, at and above k, and
+    # reset_support both ways (after its first thresholded step a reset
+    # run's support can drop back to k, and those states are not shared).
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m, n = data.draw(st.sampled_from([(12, 40), (20, 60), (24, 16)]))
+    k = data.draw(st.integers(1, 7))
+    A, x, y = random_sparse_problem(rng, m, n, k)
+    if data.draw(st.booleans()):
+        twin, source = data.draw(st.permutations(range(n)))[:2]
+        A[:, twin] = A[:, source]
+        y = A @ x
+    y = y + data.draw(st.sampled_from([0.0, 1e-3, 0.1])) * rng.standard_normal(m)
+    gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    budget = data.draw(st.sampled_from([max(k - 2, 0), k, 2 * k]))
+    rule = data.draw(st.sampled_from([None, StoppingRule.relative_error(1e-5)]))
+    reset = data.draw(st.booleans())
+    configs = [AlgorithmConfig("domp", k, gamma, stopping=rule, max_iterations=budget),
+               AlgorithmConfig("edomp", k, gamma, stopping=rule, max_iterations=budget,
+                               reset_support=reset)]
+    first, second = data.draw(st.permutations(configs))
+    shared = run(A, y, first, x).shared_state
+    standalone, reason = _drain(A, y, second, x)
+    if shared is None:  # neither run takes a step
+        assert len(standalone) == 1
+        return
+    report = run(A, y, second, x, start=shared)
+    assert (report.iterations, report.termination) == (standalone[-1].p, reason)
+    assert np.array_equal(report.x, standalone[-1].x)
+    assert len(report.trace) == standalone[-1].p - shared.p
+    # The same resumption from a state of a drained run, whose later
+    # factorizations share the QR buffer the resumed run extends.
+    earlier, _ = _drain(A, y, first, x)
+    start = earlier[shared.p]
+    assert _state_bytes(start) == _state_bytes(shared)
+    kept = [_factorization_bytes(s) for s in earlier]
+    resumed, resumed_reason = _drain(A, y, second, x, start=start)
+    assert resumed[0] is start and resumed_reason == reason
+    assert [_state_bytes(s) for s in resumed] == [_state_bytes(s) for s in standalone[shared.p:]]
+    assert [_factorization_bytes(s) for s in earlier] == kept
+
+
+def _factorization_bytes(state):
+    if state.solver is None:
+        return None
+    x = state.solver.solve()
+    return None if x is None else x.tobytes(), state.solver.misfit().tobytes()

@@ -375,6 +375,53 @@ def test_iteration_sweep_scores_every_budget_off_one_run(noise, monkeypatch):
     assert swept.to_csv() == reference.to_csv()
 
 
+PAIR_SWEEPS = {
+    "phase-gamma": lambda algos: gamma_sweep(
+        EnsembleSpec(m=24, n=80, k=4, master_seed=5), [0.2, 0.6, 1.0], [4, 7], algos, 5),
+    "phase-iters": lambda algos: iteration_sweep(
+        EnsembleSpec(m=24, n=80, k=4, master_seed=6, noise_amplitude=0.01), [2, 4, 8], [4, 7], algos, 5),
+    "phase-k": lambda algos: success_curves(
+        EnsembleSpec(m=24, n=80, k=4, master_seed=7, noise_amplitude=0.05), [4, 8], algos, 5, gamma=0.5),
+    "scaling": lambda algos: scaling_benchmark([20, 30], algos, 3, master_seed=8, timed=False),
+}
+
+
+@pytest.mark.parametrize("sweep", PAIR_SWEEPS.values(), ids=PAIR_SWEEPS.keys())
+def test_dynamic_pair_cells_are_those_of_separate_runs_in_either_order(monkeypatch, sweep):
+    # The second of a DOMP and an EDOMP run at one gamma resumes from the
+    # first's shared state; its cells are those of a sweep of it alone.
+    from dompkit import algorithms
+
+    engine = algorithms.iterate
+    starts = []
+
+    def spy(*args, start=None, **kwargs):
+        starts.append(start)
+        return engine(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(algorithms, "iterate", spy)
+    forward, backward = sweep(["domp", "omp", "edomp"]), sweep(["edomp", "domp", "omp"])
+    assert any(start is not None for start in starts)
+    separate = [sweep([alg]) for alg in ("omp", "domp", "edomp")]
+    rows = [sorted(res.to_csv().splitlines()) for res in (forward, backward)]
+    assert rows[0] == rows[1] == sorted({line for res in separate for line in res.to_csv().splitlines()})
+
+
+def test_timed_scaling_reruns_start_from_the_zero_iterate(monkeypatch):
+    calls = []
+    trial = bench.run_trial
+
+    def spy(*args):
+        calls.append(len(args) > 8 and args[8] is not None)
+        return trial(*args)
+
+    monkeypatch.setattr(bench, "run_trial", spy)
+    scaling_benchmark([20], ["domp", "edomp"], trials=2, master_seed=1)
+    # per trial and solver: the scored run, a warm-up and three timed runs;
+    # only EDOMP's scored run resumes from DOMP's shared state
+    assert calls == ([False] * 5 + [True] + [False] * 4) * 2
+
+
 def test_sweep_leaves_the_warning_filters_alone():
     # A sweep silences RuntimeWarnings only while it runs: a leaked
     # "ignore RuntimeWarning" filter would silence run's k >= m warning
