@@ -460,8 +460,11 @@ def iterate(A, y, config, truth=None, start=None):
     not its last.  Such a state is one of an earlier run of this solver on
     the same (A, y, truth) with the same parameters, or its
     ``AlgorithmReport.shared_state`` for the other dynamic solver.  States
-    are immutable, and a QR snapshot copies its buffer when it is extended
-    a second time, so an earlier run is left as it was.
+    are immutable, and a QR snapshot that is extended a second time copies
+    its buffer when a later snapshot in it is still referenced (see
+    ``linalg.IncrementalQRSolver``), so a state the caller still holds is
+    left as it was; once the earlier run's later states are dropped, the
+    resumed run appends in place.
     """
     A, y, truth = _validated(A, y, config, truth)
     step = _step(config, A, y)

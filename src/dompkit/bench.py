@@ -216,7 +216,9 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, r
     iterations (None: the solver's default).  Of the DOMP and the EDOMP
     run at one gamma, the second resumes from the first's
     ``shared_state``, so the steps the two share are taken once and each
-    outcome is that of its run from the zero iterate.  A run's result is
+    outcome is that of its run from the zero iterate.  Only the shared
+    state outlives the first run, so the second appends to its QR buffer
+    in place and copies none of it.  A run's result is
     its :class:`TrialOutcome`, or, with ``rerun``, the outcome followed by
     the items of ``rerun(A, y, truth, algorithm, k, gamma, budget,
     threshold)``, called after the run.  ``cells(algorithm, gamma, runs)``

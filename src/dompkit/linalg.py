@@ -9,14 +9,16 @@ and every file the C reader does not accept).
 
 Arrays are checked once, where they enter: every public entry point
 that takes (A, y) calls the one rule ``_system``, one that takes A alone
-``_as_matrix`` and ``_require_finite``; checked code then solves through
-the unchecked core ``_restricted_ls``.
+``_as_matrix`` and ``_require_finite``; checked code then calls the
+unchecked cores ``_restricted_ls``, ``_penalized_ls`` and
+``_spectral_norm``.
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
 """
 
 import math
+import weakref
 
 import numpy as np
 
@@ -63,9 +65,17 @@ def _as_support(indices, n, name="support"):
 
 
 def _require_finite(*arrays):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("input contains NaN or Inf")
+    """Raise ValueError unless every entry of the float ``arrays`` is finite.
+
+    A NaN or an infinity makes the sum NaN or infinite, so a finite sum
+    clears an array without an elementwise temporary; only a sum that is
+    not finite, which finite entries can also reach by overflow, is
+    followed by the elementwise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in arrays:
+            if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+                raise ValueError("input contains NaN or Inf")
 
 
 def _system(A, y, x=None, names=("y", "x")):
@@ -132,26 +142,36 @@ def _well_conditioned(diag):
     return diag.size and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
 
-def _solve_submatrix_ls(As, y):
-    """Minimum-norm least-squares coefficients for a column submatrix.
+def _solve_submatrix_ls(A, y, support=None):
+    """Minimum-norm least-squares coefficients on the columns ``support`` of
+    A (every column of A when None).
 
-    A tall submatrix (no more columns than rows) of full column rank is
+    A tall submatrix As (no more columns than rows) of full column rank is
     solved from R alone: the R factor of ``[As | y]`` holds As's R in its
     leading s x s block and Q^T y above its last diagonal entry, so Q is
     never formed, and the coefficients solve ``R[:s, :s] x = R[:s, s]``.
-    A wide one of full row rank is solved from the R of ``As^T = QR`` by
-    the seminormal equations: the minimum-norm solution ``Q R^-T y`` is
-    ``As^T R^-1 R^-T y``, as ``Q = As^T R^-1``, so Q is never formed either
-    (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996).
-    When R fails the ``_COND_RECIP_LIMIT`` test (rank deficiency or
-    near-collinearity) the solve falls back to an SVD (``lstsq``).
+    The columns are gathered straight into ``[As | y]``; no separate As
+    outlives the gather.  A wide one of full row rank is solved from the R of
+    ``As^T = QR`` by the seminormal equations: the minimum-norm solution
+    ``Q R^-T y`` is ``As^T R^-1 R^-T y``, as ``Q = As^T R^-1``, so Q is
+    never formed either (Björck, *Numerical Methods for Least Squares
+    Problems*, SIAM 1996).  When R fails the ``_COND_RECIP_LIMIT`` test
+    (rank deficiency or near-collinearity) the solve falls back to an SVD
+    (``lstsq``).
     """
-    m, s = As.shape
+    if support is None:
+        support = np.arange(A.shape[1])
+    m, s = A.shape[0], support.size
     if s <= m:
-        R = np.linalg.qr(np.column_stack([As, y]), mode="r")
+        Ay = np.empty((m, s + 1))
+        Ay[:, :s] = A[:, support]
+        Ay[:, s] = y
+        R = np.linalg.qr(Ay, mode="r")
         if _well_conditioned(np.diag(R)[:s]):
             return np.linalg.solve(R[:s, :s], R[:s, s])
+        As = Ay[:, :s]
     else:
+        As = A[:, support]
         R = np.linalg.qr(As.T, mode="r")
         if _well_conditioned(np.diag(R)):
             return As.T @ np.linalg.solve(R, np.linalg.solve(R.T, y))
@@ -174,7 +194,7 @@ def _restricted_ls(A, y, support):
     and y of matching shape, ``support`` sorted, unique and int64."""
     x = np.zeros(A.shape[1])
     if support.size:
-        x[support] = _solve_submatrix_ls(A[:, support], y)
+        x[support] = _solve_submatrix_ls(A, y, support)
     return x
 
 
@@ -185,7 +205,11 @@ def penalized_restricted_ls(A, y, support, penalized, sigma):
     Solved as an augmented least-squares system so the large penalty is
     never squared through normal equations.
     """
-    A, y = _system(A, y)
+    return _penalized_ls(*_system(A, y), support, penalized, sigma)
+
+
+def _penalized_ls(A, y, support, penalized, sigma):
+    """:func:`penalized_restricted_ls` of a checked (A, y)."""
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -212,6 +236,11 @@ def spectral_norm(A):
     """Largest singular value of ``A``, 0.0 for an empty matrix."""
     A = _as_matrix(A)
     _require_finite(A)
+    return _spectral_norm(A)
+
+
+def _spectral_norm(A):
+    """:func:`spectral_norm` of a checked A."""
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
@@ -223,7 +252,11 @@ class _QRBuffer:
     Q has shape (m, capacity).  R itself is not kept: nothing reads it once
     R^-1 is carried, and the diagonal of R^-1 holds the reciprocals of R's.
     ``used`` counts the columns written so far; solver snapshots of
-    t <= used columns share the buffer.
+    t <= used columns share the buffer, and ``snapshots`` holds a weak
+    reference to each of them.  A snapshot of t columns that is extended
+    writes its block in place from column t when no live snapshot holds
+    more than t columns; only a live one that does forces a copy of the
+    first t columns, as writing in place would change that snapshot.
     """
 
     def __init__(self, m, capacity, source=None, t=0):
@@ -231,6 +264,7 @@ class _QRBuffer:
         self.Rinv = np.zeros((capacity, capacity))
         self.qty = np.zeros(capacity)
         self.used = t
+        self.snapshots = weakref.WeakSet()
         if t:
             self.Q[:, :t] = source.Q[:, :t]
             self.Rinv[:t, :t] = source.Rinv[:t, :t]
@@ -269,18 +303,21 @@ class IncrementalQRSolver:
 
     ``extended`` returns a new solver, leaving the receiver untouched, so
     snapshots can be carried inside immutable iterate states.  Snapshots
-    share one append-only buffer (see ``_QRBuffer``) up to their own
-    length t.  A block is written in place past the last written column;
-    the buffer is copied only when the block does not fit (capacity
-    doubles, or grows to fit the block, up to m) or when a snapshot
-    shorter than the buffer is extended, which would overwrite another
-    snapshot's columns.
+    share one buffer (see ``_QRBuffer``) up to their own length t, and an
+    extension writes its block in place from column t.  The buffer is
+    copied only when the block does not fit (capacity doubles, or grows to
+    fit the block, up to m) or when a snapshot that is still referenced
+    holds columns past t, which writing in place would overwrite.  So a
+    run resumed from an earlier run's state copies nothing once that run's
+    later states are dropped; while one of them is held, the resumed run
+    copies the buffer on its first append and leaves that state as it was.
     """
 
     def __init__(self, A, y):
         self._A = np.asarray(A, dtype=float)
         self._y = np.asarray(y, dtype=float)
         self._buffer = _QRBuffer(self._A.shape[0], 0)
+        self._buffer.snapshots.add(self)
         self._t = 0
         self.columns = []
         self.degenerate = False
@@ -291,7 +328,10 @@ class IncrementalQRSolver:
         """New solver with ``indices`` appended to the factored support.
 
         The new solver shares the receiver's buffer and copies only the
-        column list; appending never changes the receiver's t columns.
+        column list; appending never changes the receiver's t columns, nor
+        those of any other snapshot still referenced.  Every new solver is
+        entered in its buffer's ``snapshots``, also one that appends
+        nothing (no indices, or a receiver that cannot be solved).
         """
         indices = np.asarray(indices, dtype=np.int64)
         new = IncrementalQRSolver.__new__(IncrementalQRSolver)
@@ -299,6 +339,7 @@ class IncrementalQRSolver:
         new.columns = self.columns + indices.tolist()
         if indices.size and self._solvable:
             new._append(indices)
+        new._buffer.snapshots.add(new)
         return new
 
     def _append(self, indices):
@@ -322,7 +363,8 @@ class IncrementalQRSolver:
             buffer = self._buffer
             capacity = buffer.Q.shape[1]
             grown = capacity if t + k <= capacity else min(m, max(8, 2 * capacity, t + k))
-            if buffer.used != t or grown != capacity:
+            # a snapshot still referenced that holds columns past t keeps them
+            if grown != capacity or (buffer.used != t and any(s._t > t for s in buffer.snapshots)):
                 buffer = self._buffer = _QRBuffer(m, grown, buffer, t)
             Qb = Qb[:, :k]
             R22inv = np.linalg.inv(R22[:k, :k])

@@ -93,16 +93,15 @@ def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP):
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
-    n = A.shape[1]
-    q = int(q)
-    if q < 1 or q > n:
-        raise ValueError(f"order must be in [1, {n}], got {q}")
     return _ric(A.T @ A, q, cap)
 
 
 def _ric(gram, q, cap):
-    """:func:`ric_exact` from the Gram matrix A^T A, for 1 <= q <= n."""
+    """:func:`ric_exact` from the Gram matrix A^T A, past the finiteness check."""
     n = gram.shape[0]
+    q = int(q)
+    if q < 1 or q > n:
+        raise ValueError(f"order must be in [1, {n}], got {q}")
     count = math.comb(n, q)
     if count > cap:
         raise EnumerationCapExceeded(n, q, count, cap)
@@ -165,7 +164,11 @@ def theta_constant(A, y):
     maximum is attained on a singleton; only the n one-column projections
     are evaluated.  Raises ValueError on an invalid (A, y).
     """
-    A, y = linalg._system(A, y)
+    return _theta(*linalg._system(A, y))
+
+
+def _theta(A, y):
+    """:func:`theta_constant` of a checked (A, y)."""
     yy = float(y @ y)
     col_sq = np.einsum("ij,ij->j", A, A)
     corr = A.T @ y
@@ -346,10 +349,10 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     enlarged = np.union1d(grown, penalized).astype(np.int64)
 
     x_exact = linalg._restricted_ls(A, y, grown)
-    x_ridge = linalg.penalized_restricted_ls(A, y, enlarged, penalized, sigma)
+    x_ridge = linalg._penalized_ls(A, y, enlarged, penalized, sigma)
 
-    theta = theta_constant(A, y)
-    proximity_constant = _proximity_constant(linalg.spectral_norm(A), sigma)
+    theta = _theta(A, y)
+    proximity_constant = _proximity_constant(linalg._spectral_norm(A), sigma)
 
     lhs = float(np.linalg.norm(A @ (x_ridge - x_exact)))
     rhs = proximity_constant * theta
@@ -413,7 +416,7 @@ def verify_recovery_bound(
     if c <= 2:
         raise ValueError(f"c must exceed 2, got {c}")
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
-    ric = ric_exact(A, c * k, cap=cap)
+    ric = _ric(A.T @ A, c * k, cap)
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
     if ric.delta >= limit or ric.delta == 0.0:
         gated = ric.delta >= limit
@@ -432,10 +435,10 @@ def verify_recovery_bound(
     y = A @ x + noise
     x_best = linalg.hard_threshold(x, k)
     nu_prime = float(np.linalg.norm(y - A @ x_best))
-    matrix_norm = linalg.spectral_norm(A)
+    matrix_norm = linalg._spectral_norm(A)
     consts = bound_constants(
         ric.delta, k, gamma, sigma=1e8 * matrix_norm**2 or 1.0,
-        matrix_norm=matrix_norm, theta=theta_constant(A, y),
+        matrix_norm=matrix_norm, theta=_theta(A, y),
     )
     decay = consts.beta if algorithm == "domp" else consts.beta_star
     tail = consts.tau if algorithm == "domp" else consts.tau_star

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dompkit import algorithms, linalg
 from dompkit.algorithms import (
     ALGORITHMS,
+    DYNAMIC_SOLVERS,
     AlgorithmConfig,
     StoppingRule,
     ZeroResidualError,
@@ -695,7 +696,58 @@ def test_dynamic_run_resumed_from_the_other_solvers_shared_state_is_its_own_run(
 
 
 def _factorization_bytes(state):
-    if state.solver is None:
-        return None
-    x = state.solver.solve()
-    return None if x is None else x.tobytes(), state.solver.misfit().tobytes()
+    return None if state.solver is None else _solver_bytes(state.solver)
+
+
+def _solver_bytes(solver):
+    x = solver.solve()
+    return None if x is None else x.tobytes(), solver.misfit().tobytes()
+
+
+def _dynamic_pair(first):
+    # Each run appends past the state the two share (t = 3) without growing
+    # the QR buffer, so the other run, resumed from it, rewinds the buffer.
+    A, x, y = random_sparse_problem(np.random.default_rng(0), 20, 60, 6)
+    configs = {name: AlgorithmConfig(name, 6, 0.9) for name in DYNAMIC_SOLVERS}
+    earlier = configs.pop(first)
+    (second,) = configs.values()
+    return A, x, y, earlier, second
+
+
+@pytest.mark.parametrize("first", DYNAMIC_SOLVERS)
+def test_resumed_run_appends_in_place_once_the_earlier_run_is_dropped(qr_buffers, first):
+    # Only the shared state of the earlier run is left, so the resumed run
+    # writes over the earlier run's later columns: no copy of the buffer,
+    # and every state, factorization included, is the standalone run's.
+    A, x, y, first, second = _dynamic_pair(first)
+    standalone, reason = _drain(A, y, second, x)
+    shared = run(A, y, first, x).shared_state
+    resumed, resumed_reason = _drain(A, y, second, x, start=shared)
+    assert qr_buffers.rewinds == 1 and qr_buffers.branch_copies == []
+    assert resumed_reason == reason
+    assert [_state_bytes(s) for s in resumed] == [_state_bytes(s) for s in standalone[shared.p:]]
+    assert ([_factorization_bytes(s) for s in resumed]
+            == [_factorization_bytes(s) for s in standalone[shared.p:]])
+
+
+@pytest.mark.parametrize("held", ["state", "empty-extension"])
+@pytest.mark.parametrize("first", DYNAMIC_SOLVERS)
+def test_resumed_run_copies_the_buffer_while_a_later_snapshot_is_held(qr_buffers, first, held):
+    # The earlier run's state after the start, or a snapshot of its
+    # factorization that appended nothing (as a stalled step makes), still
+    # holds the columns the resumed run would overwrite: the buffer is
+    # copied once, and the held snapshot keeps its bytes.
+    A, x, y, first, second = _dynamic_pair(first)
+    standalone, reason = _drain(A, y, second, x)
+    earlier, _ = _drain(A, y, first, x)
+    start = earlier[run(A, y, first, x).shared_state.p]
+    later = earlier[start.p + 1].solver
+    if held == "empty-extension":
+        later = later.extended([])
+    del earlier
+    kept = _solver_bytes(later)
+    resumed, resumed_reason = _drain(A, y, second, x, start=start)
+    assert qr_buffers.rewinds == 1 and len(qr_buffers.branch_copies) == 1
+    assert _solver_bytes(later) == kept
+    assert resumed_reason == reason
+    assert [_state_bytes(s) for s in resumed] == [_state_bytes(s) for s in standalone[start.p:]]

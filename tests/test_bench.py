@@ -434,3 +434,11 @@ def test_sweep_leaves_the_warning_filters_alone():
     A, _, y = generate_problem(EnsembleSpec(m=4, n=12, k=2, master_seed=0), 0)
     with pytest.warns(RuntimeWarning, match="not below m"):
         run(A, y, AlgorithmConfig("omp", 4))
+
+
+def test_dynamic_pair_sweep_copies_no_qr_buffer(qr_buffers):
+    # The second run of each pair resumes from the first's shared state,
+    # which alone outlives the first run, so it appends in place.
+    gamma_sweep(EnsembleSpec(m=24, n=80, k=4, master_seed=5), [0.9], [4, 7], ["domp", "edomp"], 5)
+    assert qr_buffers.rewinds > 0
+    assert qr_buffers.branch_copies == []

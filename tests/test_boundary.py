@@ -176,6 +176,28 @@ def test_one_finiteness_scan_per_highest_rip_order(monkeypatch):
     assert len(scans) == 1
 
 
+def test_one_finiteness_scan_per_verify_projection_proximity(monkeypatch):
+    # the exact, ridge and theta solves and the norm run on the checked (A, y)
+    A, y = _problem(32, M, N, 2)
+    scans = _count_calls(monkeypatch, "_require_finite")
+    assert ENTRY_POINTS["verify_projection_proximity"][0](A, {"y": y}).penalized_size
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("m,applicable", [(40, False), (80, True)])
+def test_finiteness_scans_per_verify_recovery_bound(monkeypatch, m, applicable):
+    # One scan of (A, noise, x) for the RIC, norm and theta; an instance
+    # past the RIC gate adds the scan of the solver run it drives, on the
+    # measurements y = A x + noise that it forms.
+    A = np.random.default_rng(33).standard_normal((m, 6)) / np.sqrt(m)
+    x = np.zeros(6)
+    x[2] = 1.0
+    scans = _count_calls(monkeypatch, "_require_finite")
+    check = theory.verify_recovery_bound(A, x, np.zeros(m), 1, 0.9, 3)
+    assert check.applicable == applicable
+    assert len(scans) == 1 + applicable
+
+
 @st.composite
 def degenerate_problems(draw):
     m = draw(st.integers(1, 6))

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -239,6 +240,26 @@ def test_restricted_ls_residual_optimality():
             assert best <= np.linalg.norm(y - A @ z) + 1e-12
 
 
+@pytest.mark.parametrize("values", [
+    [np.nan], [1.0, np.inf], [-np.inf, 2.0], [np.inf, -np.inf], [3.0, np.nan, np.inf, -np.inf],
+    [1e308, 1e308], [-1e308, 1.0, -1e308], [], [0.5, -2.0],
+], ids=["nan", "+inf", "-inf", "+inf-inf", "nan+inf-inf", "overflow+", "overflow-", "empty",
+        "finite"])
+def test_require_finite_agrees_with_the_elementwise_test(values):
+    # A sum that is NaN, infinite, or overflows from finite entries decides
+    # by the elementwise test; no case warns.
+    vector = np.array(values, dtype=float)
+    finite = np.isfinite(vector).all()
+    for arrays in [(vector,), (vector.reshape(1, -1),), (np.ones(2), vector.reshape(-1, 1))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if finite:
+                linalg._require_finite(*arrays)
+            else:
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    linalg._require_finite(*arrays)
+
+
 def test_restricted_ls_rejects_nonfinite():
     A = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -385,6 +406,50 @@ def test_incremental_qr_snapshot_extended_twice():
         assert np.allclose(solver.solve(), expect, rtol=0, atol=1e-10)
     assert (base.columns, first.columns, second.columns) == ([4, 9, 21], [4, 9, 21, 0, 13],
                                                              [4, 9, 21, 27, 2, 16])
+
+
+def test_incremental_qr_extends_over_a_dropped_snapshot_in_place(qr_buffers):
+    # Once the first extension is dropped, the second writes over its
+    # columns in place: no copy, and the bytes of a fresh factorization.
+    rng = np.random.default_rng(26)
+    A = rng.standard_normal((12, 30))
+    y = rng.standard_normal(12)
+    base = linalg.IncrementalQRSolver(A, y).extended([4, 9, 21])
+    base.extended([0, 13])
+    second = base.extended([27, 2, 16])
+    fresh = linalg.IncrementalQRSolver(A, y).extended([4, 9, 21]).extended([27, 2, 16])
+    assert qr_buffers.rewinds == 1 and qr_buffers.branch_copies == []
+    assert second.solve().tobytes() == fresh.solve().tobytes()
+    assert second.misfit().tobytes() == fresh.misfit().tobytes()
+
+
+def _snapshot_bytes(solver):
+    x = solver.solve()
+    return None if x is None else x.tobytes(), solver.misfit().tobytes()
+
+
+@pytest.mark.parametrize("held", ["appended", "empty", "unsolvable"])
+def test_incremental_qr_copies_for_a_held_longer_snapshot(qr_buffers, held):
+    # A snapshot that holds columns past the one extended forces a copy and
+    # keeps its bytes, also when it was made by an extension that appended
+    # nothing: no indices, or a receiver that cannot be solved (its last
+    # column duplicates an earlier one).  The snapshot that did append is
+    # dropped by then.
+    rng = np.random.default_rng(26)
+    A = rng.standard_normal((12, 30))
+    A[:, 6] = A[:, 13]
+    y = rng.standard_normal(12)
+    base = linalg.IncrementalQRSolver(A, y).extended([4, 9, 21])
+    later = base.extended([0, 13, 6] if held == "unsolvable" else [0, 13])
+    assert later.degenerate == (held == "unsolvable")
+    if held != "appended":
+        later = later.extended([] if held == "empty" else [17])
+    kept = _snapshot_bytes(later)
+    second = base.extended([27, 2, 16])
+    assert qr_buffers.branch_copies == [3]
+    assert _snapshot_bytes(later) == kept
+    expect = linalg.restricted_least_squares(A, y, second.columns)
+    assert np.allclose(second.solve(), expect, rtol=0, atol=1e-10)
 
 
 def test_incremental_qr_grows_past_its_capacity():
