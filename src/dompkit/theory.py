@@ -54,8 +54,10 @@ __all__ = [
 GOLDEN_ETA = (math.sqrt(5.0) + 1.0) / 2.0
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
-# Supports per vectorized eigensolve in ric_exact; the maximum over all
-# supports does not depend on it.
+# ric_exact eigensolves its first _RIC_SEED supports, then certifies the
+# rest in batches of _RIC_BATCH; the maximum over all supports depends on
+# neither.
+_RIC_SEED = 256
 _RIC_BATCH = 4096
 
 
@@ -75,21 +77,26 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class RicEstimate:
-    """Exact restricted isometry constant of one order."""
+    """Exact restricted isometry constant of one order.
+
+    ``supports_examined`` counts every support of the enumeration,
+    ``eigensolved`` those whose spectrum was computed.
+    """
 
     order: int
     delta: float
     method: str
     supports_examined: int
+    eigensolved: int
 
 
 def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP):
     """Exact RIC of order ``q`` by exhaustive support enumeration.
 
     delta_q is the largest deviation of a q-column Gram spectrum from 1,
-    maximized over all C(n, q) supports; supports are processed in
-    batches through a vectorized symmetric eigensolver.  Raises
-    ValueError unless A is a finite matrix.
+    maximized over all C(n, q) supports; a support is eigensolved unless
+    a Cholesky certificate proves it below the running maximum (see
+    :func:`_ric`).  Raises ValueError unless A is a finite matrix.
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
@@ -97,7 +104,35 @@ def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP):
 
 
 def _ric(gram, q, cap):
-    """:func:`ric_exact` from the Gram matrix A^T A, past the finiteness check."""
+    """:func:`ric_exact` from the Gram matrix G = A^T A, past the finiteness check.
+
+    The supports are enumerated in lexicographic order.  The first
+    ``_RIC_SEED`` are eigensolved, which gives the running maximum delta a
+    value; an enumeration of at most that many does nothing else.  Each
+    later support S is skipped when a Cholesky factorization completes on
+    both (1 + delta - tau) I - G_S and G_S - (1 - delta + tau) I, and the
+    supports that fail are eigensolved and raise delta.
+
+    Why a skipped support cannot change delta.  A Cholesky factorization
+    that completes on a symmetric q x q matrix M gives R^T R = M + E with
+    |E| <= gamma_{q+1} |R^T| |R| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 10.3), and ||R^T| |R||_2 <=
+    ||R||_F^2 = trace(M + E) <= q ||M + E||_2, so ||E||_2 is about
+    q (q+1) u ||M||_2 and M has no eigenvalue below -||E||_2.  Both
+    shifted matrices have norm at most 2 (1 + ||G||_F), so a skipped
+    support has every exact eigenvalue of G_S within
+    delta - tau + q (q+1) eps (1 + ||G||_F) of 1.  eigvalsh computes each
+    eigenvalue within p(q) u ||G_S||_2 of an exact one, p(q) read as 8q as
+    in :func:`highest_rip_order`, at most 8 (q+1) eps (1 + ||G||_F).  So
+    tau = 2 (q+1) (q+8) eps (1 + ||G||_F), twice the sum of the two bounds
+    (the factor covers the rounding of the shifts), puts the computed
+    deviation of a skipped support at most delta: the support that
+    attains the exhaustive maximum is always eigensolved, and delta keeps
+    the bits of an eigensolve of every support, provided eigvalsh gives a
+    matrix the same bits whatever else is in its batch.  A G or norm that
+    is not finite makes tau inf or NaN, and then every support is
+    eigensolved.
+    """
     n = gram.shape[0]
     q = int(q)
     if q < 1 or q > n:
@@ -105,17 +140,65 @@ def _ric(gram, q, cap):
     count = math.comb(n, q)
     if count > cap:
         raise EnumerationCapExceeded(n, q, count, cap)
+    with np.errstate(over="ignore"):
+        tau = 2 * (q + 1) * (q + 8) * np.finfo(float).eps * (1.0 + float(np.linalg.norm(gram)))
     delta = 0.0
+    eigensolved = 0
     combos = itertools.combinations(range(n), q)
-    while True:
-        chunk = list(itertools.islice(combos, _RIC_BATCH))
-        if not chunk:
+    for size in itertools.chain([_RIC_SEED], itertools.repeat(_RIC_BATCH)):
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, size))
+        idx = np.fromiter(chunk, dtype=np.int64).reshape(-1, q)
+        if not idx.size:
             break
-        idx = np.asarray(chunk, dtype=np.int64)
-        local = gram[idx[:, :, None], idx[:, None, :]]
-        eigs = np.linalg.eigvalsh(local)
+        if eigensolved:  # past the seed
+            idx = idx[~_deviation_below(gram, idx, delta - tau)]
+            if not idx.size:
+                continue
+        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         delta = max(delta, float(eigs[:, -1].max() - 1.0), float(1.0 - eigs[:, 0].min()))
-    return RicEstimate(order=q, delta=delta, method="exact-exhaustive", supports_examined=count)
+        eigensolved += len(idx)
+    return RicEstimate(
+        order=q, delta=delta, method="exact-exhaustive", supports_examined=count,
+        eigensolved=eigensolved,
+    )
+
+
+def _deviation_below(gram, idx, bound):
+    """Which supports, the rows of the B x q index array ``idx``, pass a
+    Cholesky factorization of both bound I + (I - G_S) and
+    bound I - (I - G_S): a certificate, up to the factorizations' backward
+    error, that every eigenvalue of G_S lies within ``bound`` of 1."""
+    below = np.ones(len(idx), dtype=bool)
+    for sign in (1.0, -1.0):
+        below[below] = _cholesky_completes(gram, idx[below].T.copy(), sign, bound)
+    return below
+
+
+def _cholesky_completes(gram, sub, sign, bound):
+    """Which of the matrices bound I + sign (I - G_S), one per column S of
+    the q x B index array ``sub``, an upper Cholesky factorization
+    completes on with positive pivots.
+
+    The stack is batch last, q x q x B, and only its upper triangle is
+    formed, row by row from the flat G; each step updates it in place.
+    The batch members never mix, so a failed one only fills its own slice
+    with NaN or inf.
+    """
+    q, batch = sub.shape
+    M = np.empty((q, q, batch))
+    flat = gram.ravel()
+    for i in range(q):
+        np.take(flat, sub[i] * gram.shape[1] + sub[i:], out=M[i, i:])
+        M[i, i:] *= -sign
+        M[i, i] += sign + bound
+    completes = np.ones(batch, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(q):
+            completes &= M[j, j] > 0
+            M[j, j + 1:] /= np.sqrt(M[j, j])
+            for i in range(j + 1, q):
+                M[i, i:] -= M[j, i] * M[j, i:]
+    return completes
 
 
 def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dompkit import linalg, theory
 
@@ -43,6 +45,96 @@ def test_ric_exact_enumeration_cap():
     with pytest.raises(theory.EnumerationCapExceeded) as err:
         theory.ric_exact(A, 10, cap=1000)
     assert "shrink" in str(err.value)
+
+
+def _every_support_eigensolved(gram, q):
+    """The oracle: one eigvalsh of every q x q Gram block, nothing skipped."""
+    idx = np.array(list(itertools.combinations(range(gram.shape[0]), q)), dtype=np.int64)
+    eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+    return max(0.0, float(eigs[:, -1].max() - 1.0), float(1.0 - eigs[:, 0].min()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_ric_skipping_certified_supports_keeps_the_exhaustive_maximum_bit_for_bit(data):
+    # Tall and wide Gaussian matrices, up to C(12, 6) = 924 supports (so
+    # past the 256 eigensolved unconditionally), orders 1 to n, with a
+    # duplicated column (delta >= 1 from order 2), a zero column, and
+    # columns scaled by 2^-40 to 2^40; a matrix scaled by 1/2 has delta
+    # from the smallest eigenvalue, one scaled by 2 from the largest.
+    if data.draw(st.booleans()):  # C(n, q) from 330 to 924
+        n = data.draw(st.integers(11, 12))
+        q = data.draw(st.integers(4, n - 4))
+    else:
+        n = data.draw(st.integers(1, 12))
+        q = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) * data.draw(st.sampled_from([0.5, 1.0, 2.0])) / np.sqrt(m)
+    if n > 1 and data.draw(st.booleans()):
+        A[:, -1] = A[:, 0]
+    if data.draw(st.booleans()):
+        A[:, rng.integers(n)] = 0.0
+    if data.draw(st.booleans()):
+        A *= 2.0 ** rng.integers(-40, 41, n)
+    gram = A.T @ A
+    est = theory._ric(gram, q, theory.DEFAULT_ENUMERATION_CAP)
+    assert est.delta == _every_support_eigensolved(gram, q)
+    assert est.supports_examined == math.comb(n, q)
+    assert 1 <= est.eigensolved <= est.supports_examined
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_ric_eigensolves_every_support_of_an_enumeration_of_at_most_256(n):
+    A = np.random.default_rng(10).standard_normal((300, n)) / np.sqrt(300)
+    gram = A.T @ A
+    est = theory.ric_exact(A, 1)
+    assert est.delta == _every_support_eigensolved(gram, 1)
+    assert est.eigensolved == n if n <= 256 else 256 <= est.eigensolved <= n
+    full = theory.ric_exact(A[:, :12], 12)
+    assert (full.supports_examined, full.eigensolved) == (1, 1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8])  # delta from the largest, the smallest eigenvalue
+def test_ric_eigensolves_few_supports_of_a_gaussian_matrix(scale):
+    A = np.random.default_rng(11).standard_normal((400, 16)) * scale / 20.0
+    est = theory.ric_exact(A, 8)
+    assert est.supports_examined == 12870
+    assert est.eigensolved <= 1287
+    assert est.delta == _every_support_eigensolved(A.T @ A, 8)
+
+
+def test_eigvalsh_gives_a_matrix_the_same_bits_in_any_batch():
+    # _ric eigensolves only the supports its certificate cannot rule out,
+    # so a support's spectrum must not depend on what else is in its batch.
+    A = np.random.default_rng(12).standard_normal((40, 14)) / np.sqrt(40)
+    gram = A.T @ A
+    idx = np.array(list(itertools.combinations(range(14), 6)), dtype=np.int64)
+    blocks = gram[idx[:, :, None], idx[:, None, :]]
+    whole = np.linalg.eigvalsh(blocks)
+    for start, size in [(0, 1), (3, 1), (17, 5), (100, 256), (1001, 2002), (2900, 103)]:
+        assert np.array_equal(np.linalg.eigvalsh(blocks[start:start + size]), whole[start:start + size])
+    assert np.array_equal(np.linalg.eigvalsh(blocks[::7].copy()), whole[::7])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cholesky_certificate_agrees_with_the_spectrum_away_from_its_edge(sign):
+    # bound I + sign (I - G_S) passes exactly when its smallest eigenvalue
+    # is positive; matrices within 1e-9 of singular are left out
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((9, 12)) / 3.0
+    gram = A.T @ A
+    idx = np.array(list(itertools.combinations(range(12), 5)), dtype=np.int64)
+    outcomes = set()
+    for bound in (0.3, 0.8, 1.5, 3.0):
+        shifted = bound * np.eye(5) + sign * (np.eye(5) - gram[idx[:, :, None], idx[:, None, :]])
+        lowest = np.linalg.eigvalsh(shifted)[:, 0]
+        far = np.abs(lowest) > 1e-9
+        passed = theory._cholesky_completes(gram, idx.T.copy(), sign, bound)
+        assert np.array_equal(passed[far], lowest[far] > 0)
+        outcomes.update(passed[far].tolist())
+    assert outcomes == {False, True}
 
 
 def test_highest_rip_order_identity():
