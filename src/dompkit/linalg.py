@@ -520,13 +520,21 @@ def load_vector(path):
     return np.array(values, dtype=float)
 
 
+def _row_format(n):
+    """One line of n numbers at 17 significant digits, the shortest width
+    at which every double reads back with the same bits.  ``%.17g`` on a
+    Python float gives the bytes of ``format(v, ".17g")``."""
+    return " ".join(["%.17g"] * n) + "\n"
+
+
 def save_matrix(path, A):
     A = _as_matrix(A)
     _require_finite(A)
+    line = _row_format(A.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for row in A:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        for row in A:  # row by row, so only one row is ever a list of floats
+            fh.write(line % tuple(row.tolist()))
 
 
 def save_vector(path, v):
@@ -534,4 +542,4 @@ def save_vector(path, v):
     _require_finite(v)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{v.size}\n")
-        fh.write(" ".join(format(x, ".17g") for x in v) + "\n")
+        fh.write(_row_format(v.size) % tuple(v.tolist()))

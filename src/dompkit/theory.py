@@ -54,10 +54,12 @@ __all__ = [
 GOLDEN_ETA = (math.sqrt(5.0) + 1.0) / 2.0
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
-# ric_exact eigensolves its first _RIC_SEED supports, then certifies the
-# rest in batches of _RIC_BATCH; the maximum over all supports depends on
-# neither.
-_RIC_SEED = 256
+# ric_exact eigensolves every support of an enumeration of at most
+# _RIC_ALL; a longer one is seeded by eigensolving _RIC_SEED supports of
+# its first batch and certifies the rest in batches of _RIC_BATCH.  The
+# maximum over all supports depends on none of them.
+_RIC_ALL = 256
+_RIC_SEED = 16
 _RIC_BATCH = 4096
 
 
@@ -96,20 +98,30 @@ def ric_exact(A, q, cap=DEFAULT_ENUMERATION_CAP):
     delta_q is the largest deviation of a q-column Gram spectrum from 1,
     maximized over all C(n, q) supports; a support is eigensolved unless
     a Cholesky certificate proves it below the running maximum (see
-    :func:`_ric`).  Raises ValueError unless A is a finite matrix.
+    :func:`_ric`).  Raises ValueError unless A is a finite matrix, and
+    FloatingPointError when A^T A overflows.
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
-    return _ric(A.T @ A, q, cap)
+    return _ric(_gram(A), q, cap)
+
+
+def _gram(A):
+    """A^T A, quietly: an overflow leaves an entry that is not finite, and
+    :func:`_ric` raises on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A.T @ A
 
 
 def _ric(gram, q, cap):
     """:func:`ric_exact` from the Gram matrix G = A^T A, past the finiteness check.
 
-    The supports are enumerated in lexicographic order.  The first
-    ``_RIC_SEED`` are eigensolved, which gives the running maximum delta a
-    value; an enumeration of at most that many does nothing else.  Each
-    later support S is skipped when a Cholesky factorization completes on
+    The supports are enumerated in lexicographic order, in batches of
+    ``_RIC_BATCH``.  An enumeration of at most ``_RIC_ALL`` supports
+    eigensolves every one.  A longer one first eigensolves the
+    ``_RIC_SEED`` supports of its first batch with the largest
+    ||G_S - I||_F^2, which gives the running maximum delta a value.  Every
+    other support S is skipped when a Cholesky factorization completes on
     both (1 + delta - tau) I - G_S and G_S - (1 - delta + tau) I, and the
     supports that fail are eigensolved and raise delta.
 
@@ -128,10 +140,11 @@ def _ric(gram, q, cap):
     (the factor covers the rounding of the shifts), puts the computed
     deviation of a skipped support at most delta: the support that
     attains the exhaustive maximum is always eigensolved, and delta keeps
-    the bits of an eigensolve of every support, provided eigvalsh gives a
-    matrix the same bits whatever else is in its batch.  A G or norm that
-    is not finite makes tau inf or NaN, and then every support is
-    eigensolved.
+    the bits of an eigensolve of every support, whichever supports seeded
+    it, provided eigvalsh gives a matrix the same bits whatever else is in
+    its batch.  A G that is not finite (A^T A overflowed) raises
+    FloatingPointError; a finite G whose norm overflows makes tau inf,
+    and then every support is eigensolved.
     """
     n = gram.shape[0]
     q = int(q)
@@ -140,27 +153,79 @@ def _ric(gram, q, cap):
     count = math.comb(n, q)
     if count > cap:
         raise EnumerationCapExceeded(n, q, count, cap)
+    if not np.isfinite(gram).all():
+        raise FloatingPointError("the Gram matrix A^T A overflows; rescale A")
     with np.errstate(over="ignore"):
         tau = 2 * (q + 1) * (q + 8) * np.finfo(float).eps * (1.0 + float(np.linalg.norm(gram)))
     delta = 0.0
     eigensolved = 0
-    combos = itertools.combinations(range(n), q)
-    for size in itertools.chain([_RIC_SEED], itertools.repeat(_RIC_BATCH)):
-        chunk = itertools.chain.from_iterable(itertools.islice(combos, size))
-        idx = np.fromiter(chunk, dtype=np.int64).reshape(-1, q)
-        if not idx.size:
-            break
-        if eigensolved:  # past the seed
+    for start in range(0, count, _RIC_BATCH):
+        idx = _supports(n, q, start, min(start + _RIC_BATCH, count))
+        if count > _RIC_ALL:
+            if not start:
+                seed = _largest_off_identity(gram, idx, _RIC_SEED)
+                delta = max(delta, _deviation(gram, idx[seed]))
+                eigensolved += int(seed.sum())
+                idx = idx[~seed]
             idx = idx[~_deviation_below(gram, idx, delta - tau)]
-            if not idx.size:
-                continue
-        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-        delta = max(delta, float(eigs[:, -1].max() - 1.0), float(1.0 - eigs[:, 0].min()))
-        eigensolved += len(idx)
+        if len(idx):
+            delta = max(delta, _deviation(gram, idx))
+            eigensolved += len(idx)
     return RicEstimate(
         order=q, delta=delta, method="exact-exhaustive", supports_examined=count,
         eigensolved=eigensolved,
     )
+
+
+def _supports(n, q, start, stop):
+    """Supports ``start`` to ``stop - 1`` of the q-subsets of range(n) in
+    lexicographic order, the order of ``itertools.combinations``, as the
+    rows of a (stop - start) x q int64 array.
+
+    Reflecting a support S to {n - 1 - s : s in S} maps lexicographic rank
+    r to colexicographic rank C(n, q) - 1 - r, and a colex rank R unranks
+    greedily: the largest element of the reflected support is the largest
+    c with C(c, q) <= R, the next the largest c with C(c, q - 1) <= R -
+    C(c, q), and so on, one ``searchsorted`` per element for the whole
+    batch.
+    """
+    count = math.comb(n, q)
+    rank = np.arange(count - 1 - start, count - 1 - stop, -1, dtype=np.int64)
+    out = np.empty((len(rank), q), dtype=np.int64)
+    for k in range(q, 0, -1):
+        # C(c, k) for c < n, nondecreasing in c; capping at count, which
+        # exceeds every rank, leaves each search as it was
+        table = np.array([min(math.comb(c, k), count) for c in range(n)], dtype=np.int64)
+        c = np.searchsorted(table, rank, side="right") - 1
+        rank -= table[c]
+        out[:, q - k] = n - 1 - c
+    return out
+
+
+def _largest_off_identity(gram, idx, size):
+    """Mask of the ``size`` rows of the B x q index array ``idx`` (all of
+    them when there are fewer) whose Gram block G_S has the largest
+    ||G_S - I||_F^2, summed over the upper triangle one entry of every
+    support at a time, so that no temporary is larger than B."""
+    n, q = len(gram), idx.shape[1]
+    score = np.zeros(len(idx))
+    with np.errstate(over="ignore"):
+        flat = ((gram - np.eye(n)) ** 2).ravel()
+        for i in range(q):
+            score += flat[idx[:, i] * (n + 1)]
+            for j in range(i + 1, q):
+                score += 2.0 * flat[idx[:, i] * n + idx[:, j]]
+    rest = max(len(idx) - size, 0)
+    mask = np.zeros(len(idx), dtype=bool)
+    mask[np.argpartition(score, rest)[rest:]] = True
+    return mask
+
+
+def _deviation(gram, idx):
+    """Largest |lambda - 1| over the spectra of the Gram blocks G_S, one per
+    row S of the index array ``idx``, eigensolved in one batch."""
+    eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+    return max(float(eigs[:, -1].max() - 1.0), float(1.0 - eigs[:, 0].min()))
 
 
 def _deviation_below(gram, idx, bound):
@@ -216,7 +281,7 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
     m, n = A.shape
-    gram = A.T @ A
+    gram = _gram(A)
     if n and _ric(gram, 1, cap).delta >= 1.0:
         return 0
     if 1 < n <= m:
@@ -499,7 +564,7 @@ def verify_recovery_bound(
     if c <= 2:
         raise ValueError(f"c must exceed 2, got {c}")
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
-    ric = _ric(A.T @ A, c * k, cap)
+    ric = _ric(_gram(A), c * k, cap)
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
     if ric.delta >= limit or ric.delta == 0.0:
         gated = ric.delta >= limit

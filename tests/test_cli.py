@@ -243,6 +243,16 @@ def test_ric_highest(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["highest_order"] == 3
 
 
+@pytest.mark.parametrize("flags", [["--order", "2"], ["--highest"]])
+def test_ric_of_a_matrix_whose_gram_overflows_exits_four(tmp_path, capsys, flags):
+    matrix = tmp_path / "mat.txt"
+    linalg.save_matrix(matrix, np.array([[1e160] * 6, [-1e160] * 6, [1.0, 0.0] * 3]))
+    assert main(["ric", "--matrix", str(matrix), *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numeric failure: the Gram matrix A^T A overflows; rescale A\n"
+
+
 def test_ric_flag_exclusivity(tmp_path):
     matrix = tmp_path / "mat.txt"
     linalg.save_matrix(matrix, np.eye(3))

@@ -597,6 +597,42 @@ def test_vector_file_roundtrip(tmp_path):
     assert np.array_equal(linalg.load_vector(path), v)
 
 
+def _joined_17g(path, header, rows):
+    """The oracle: the writer as it was, one format(v, ".17g") per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for row in rows:
+            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1, 1.0, -3.0, 2.0**53, 1e22, 123456789.0, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("shape", [(13, 1), (1, 13), (300, 1200)])
+def test_save_matrix_writes_the_bytes_of_a_17g_join(tmp_path, shape):
+    A = np.random.default_rng(22).standard_normal(shape)
+    flat = A.reshape(-1)
+    flat[:len(_SPECIAL)] = _SPECIAL
+    flat[len(_SPECIAL):2 * len(_SPECIAL)] = np.round(flat[len(_SPECIAL):2 * len(_SPECIAL)] * 1e3)
+    written, expected = tmp_path / "written.txt", tmp_path / "expected.txt"
+    linalg.save_matrix(written, A)
+    _joined_17g(expected, f"{shape[0]} {shape[1]}\n", A)
+    assert written.read_bytes() == expected.read_bytes()
+    assert np.array_equal(linalg.load_matrix(written), A)
+
+
+@pytest.mark.parametrize("v", [np.array([]), np.array([-0.0]), np.array(_SPECIAL),
+                               np.random.default_rng(23).standard_normal(1200)])
+def test_save_vector_writes_the_bytes_of_a_17g_join(tmp_path, v):
+    written, expected = tmp_path / "written.txt", tmp_path / "expected.txt"
+    linalg.save_vector(written, v)
+    _joined_17g(expected, f"{v.size}\n", [v])
+    assert written.read_bytes() == expected.read_bytes()
+    assert np.array_equal(linalg.load_vector(written), v)
+    assert np.array_equal(np.signbit(linalg.load_vector(written)), np.signbit(v))
+
+
 def test_vector_file_multiline(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("5\n1 2\n3\n4 5\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,12 +55,9 @@ def _every_support_eigensolved(gram, q):
     return max(0.0, float(eigs[:, -1].max() - 1.0), float(1.0 - eigs[:, 0].min()))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_ric_skipping_certified_supports_keeps_the_exhaustive_maximum_bit_for_bit(data):
+def _check_ric_keeps_the_exhaustive_maximum_bit_for_bit(data):
     # Tall and wide Gaussian matrices, up to C(12, 6) = 924 supports (so
-    # past the 256 eigensolved unconditionally), orders 1 to n, with a
+    # past the 256 that are all eigensolved), orders 1 to n, with a
     # duplicated column (delta >= 1 from order 2), a zero column, and
     # columns scaled by 2^-40 to 2^40; a matrix scaled by 1/2 has delta
     # from the smallest eigenvalue, one scaled by 2 from the largest.
@@ -85,13 +83,44 @@ def test_ric_skipping_certified_supports_keeps_the_exhaustive_maximum_bit_for_bi
     assert 1 <= est.eigensolved <= est.supports_examined
 
 
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_ric_skipping_certified_supports_keeps_the_exhaustive_maximum_bit_for_bit(data):
+    _check_ric_keeps_the_exhaustive_maximum_bit_for_bit(data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_ric_keeps_the_exhaustive_maximum_across_batches_of_seven(data):
+    # Batches of 7 are smaller than the seed, so the seed is a whole first
+    # batch and every later batch is certified against it.
+    with mock.patch.object(theory, "_RIC_BATCH", 7):
+        _check_ric_keeps_the_exhaustive_maximum_bit_for_bit(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_supports_are_the_combinations_in_their_order(data):
+    n = data.draw(st.integers(1, 20))
+    q = data.draw(st.integers(1, n))
+    count = math.comb(n, q)
+    start = data.draw(st.integers(0, count - 1))
+    stop = data.draw(st.integers(start, min(count, start + 5000)))
+    expected = list(itertools.islice(itertools.combinations(range(n), q), start, stop))
+    got = theory._supports(n, q, start, stop)
+    assert got.dtype == np.int64 and got.shape == (stop - start, q)
+    assert [tuple(row) for row in got.tolist()] == expected
+
+
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_ric_eigensolves_every_support_of_an_enumeration_of_at_most_256(n):
     A = np.random.default_rng(10).standard_normal((300, n)) / np.sqrt(300)
     gram = A.T @ A
     est = theory.ric_exact(A, 1)
     assert est.delta == _every_support_eigensolved(gram, 1)
-    assert est.eigensolved == n if n <= 256 else 256 <= est.eigensolved <= n
+    assert est.eigensolved == n if n <= 256 else theory._RIC_SEED <= est.eigensolved <= n
     full = theory.ric_exact(A[:, :12], 12)
     assert (full.supports_examined, full.eigensolved) == (1, 1)
 
@@ -101,8 +130,31 @@ def test_ric_eigensolves_few_supports_of_a_gaussian_matrix(scale):
     A = np.random.default_rng(11).standard_normal((400, 16)) * scale / 20.0
     est = theory.ric_exact(A, 8)
     assert est.supports_examined == 12870
-    assert est.eigensolved <= 1287
+    assert est.eigensolved <= est.supports_examined // 50  # 2%; measured 32 and 56
     assert est.delta == _every_support_eigensolved(A.T @ A, 8)
+
+
+def test_ric_seeds_from_the_supports_farthest_from_the_identity():
+    # Column 13 nearly repeats column 2, so every support holding both is
+    # far from an isometry, and none of them comes early in lexicographic
+    # order; the seed must find them.
+    A = np.random.default_rng(14).standard_normal((400, 14)) / 20.0
+    A[:, 13] = A[:, 2] + 1e-3 * A[:, 13]
+    est = theory.ric_exact(A, 6)
+    assert est.delta == _every_support_eigensolved(A.T @ A, 6)
+    assert est.delta > 0.9
+    assert est.eigensolved <= 2 * theory._RIC_SEED
+
+
+@pytest.mark.parametrize("A, q", [
+    (np.array([[1e160] * 6, [-1e160] * 6, [1.0, 0.0] * 3]), 2),  # A^T A overflows to inf
+    (np.random.default_rng(15).standard_normal((5, 30)) * 1e155, 4),  # to inf and NaN
+])
+def test_ric_raises_a_numeric_failure_when_the_gram_matrix_overflows(A, q):
+    with pytest.raises(FloatingPointError, match="overflows"):
+        theory.ric_exact(A, q)
+    with pytest.raises(FloatingPointError, match="overflows"):
+        theory.highest_rip_order(A)
 
 
 def test_eigvalsh_gives_a_matrix_the_same_bits_in_any_batch():
