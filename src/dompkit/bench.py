@@ -70,6 +70,8 @@ class EnsembleSpec:
             raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
         if self.master_seed < 0:
             raise ValueError("master seed must be nonnegative")
+        if self.k > self.n:
+            raise ValueError(f"sparsity k={self.k} exceeds the n={self.n} columns")
         if not self.k <= self.m <= self.n:
             warnings.warn(
                 f"nonstandard ensemble shape k={self.k}, m={self.m}, n={self.n} "

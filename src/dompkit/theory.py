@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,9 +133,10 @@ def _ric(gram, q, cap):
     q (q+1) u ||M||_2 and M has no eigenvalue below -||E||_2.  Both
     shifted matrices have norm at most 2 (1 + ||G||_F), so a skipped
     support has every exact eigenvalue of G_S within
-    delta - tau + q (q+1) eps (1 + ||G||_F) of 1.  eigvalsh computes each
-    eigenvalue within p(q) u ||G_S||_2 of an exact one, p(q) read as 8q as
-    in :func:`highest_rip_order`, at most 8 (q+1) eps (1 + ||G||_F).  So
+    delta - tau + q (q+1) eps (1 + ||G||_F) of 1.  eigvalsh, backward
+    stable, computes each eigenvalue within p(q) u ||G_S||_2 of an exact
+    one, p modestly growing (LAPACK Users' Guide, section 4.7): read as
+    8q, 8 times the usual q, at most 8 (q+1) eps (1 + ||G||_F).  So
     tau = 2 (q+1) (q+8) eps (1 + ||G||_F), twice the sum of the two bounds
     (the factor covers the rounding of the shifts), puts the computed
     deviation of a skipped support at most delta: the support that
@@ -155,8 +156,7 @@ def _ric(gram, q, cap):
         raise EnumerationCapExceeded(n, q, count, cap)
     if not np.isfinite(gram).all():
         raise FloatingPointError("the Gram matrix A^T A overflows; rescale A")
-    with np.errstate(over="ignore"):
-        tau = 2 * (q + 1) * (q + 8) * np.finfo(float).eps * (1.0 + float(np.linalg.norm(gram)))
+    tau = _eig_margin(gram, q)
     delta = 0.0
     eigensolved = 0
     for start in range(0, count, _RIC_BATCH):
@@ -175,6 +175,13 @@ def _ric(gram, q, cap):
         order=q, delta=delta, method="exact-exhaustive", supports_examined=count,
         eigensolved=eigensolved,
     )
+
+
+def _eig_margin(gram, q):
+    """The rounding margin tau of :func:`_ric` at order q; inf when
+    ||G||_F overflows."""
+    with np.errstate(over="ignore"):
+        return 2 * (q + 1) * (q + 8) * np.finfo(float).eps * (1.0 + float(np.linalg.norm(gram)))
 
 
 def _supports(n, q, start, stop):
@@ -273,10 +280,10 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     decreases in t (Cauchy interlacing), so the first failing order is
     final.  Returns 0 when even delta_1 >= 1.  Past order 1, a tall or
     square A (n <= m) first gets one eigensolve of its full n x n Gram
-    matrix: when that puts delta_n below 1 by more than the eigensolver's
-    error margin, every order passes and n is returned without
-    enumerating supports, whatever ``cap``.  A wide A has delta_n = 1
-    exactly and is swept.  Raises ValueError like ric_exact.
+    matrix: when that puts delta_n below 1 - tau, with tau the margin of
+    :func:`_ric` at order n, every order passes (interlacing) and n is
+    returned without enumerating supports, whatever ``cap``.  A wide A
+    has delta_n = 1 exactly and is swept.  Raises ValueError like ric_exact.
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
@@ -286,18 +293,7 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
         return 0
     if 1 < n <= m:
         eigs = np.linalg.eigvalsh(gram)
-        # eigvalsh is backward stable: each eigenvalue it computes for a
-        # symmetric s x s matrix H lies within p(s) * eps * ||H||_2 of an
-        # exact one, p a modestly growing function (LAPACK Users' Guide,
-        # section 4.7), usually taken as s.  The exact spectrum of every
-        # principal submatrix of G lies inside G's (interlacing), so a
-        # delta_t of the sweep exceeds the delta_n computed here by at most
-        # 2 p(n) eps ||G||_2, plus a rounding of 1 - lambda on each side.
-        # The margin takes p(n) = 8 n, a safety factor of 8 over the usual
-        # reading, and ||G||_2 as at least 1.  An A whose delta_n lies
-        # within that margin of 1 is swept.
-        tol = 2 * (8 * n + 1) * np.finfo(float).eps * max(float(eigs[-1]), 1.0)
-        if max(float(eigs[-1]) - 1.0, 1.0 - float(eigs[0])) < 1.0 - tol:
+        if max(float(eigs[-1]) - 1.0, 1.0 - float(eigs[0])) < 1.0 - _eig_margin(gram, n):
             return n
     for t in range(2, n + 1):
         if _ric(gram, t, cap).delta >= 1.0:
@@ -411,11 +407,24 @@ def bound_constants(delta, k, gamma, sigma, matrix_norm, theta):
     alongside; they vanish as sigma grows and are excluded from the
     reconstruction-bound inequality itself.
     """
+    rates = _rate_constants(delta, k, gamma)
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    norm = float(matrix_norm)
+    proximity_constant = _proximity_constant(norm, sigma)
+    return BoundConstants(
+        **rates, sigma=float(sigma), matrix_norm=norm, theta=float(theta),
+        proximity_constant=proximity_constant,
+        epsilon=float(theta) * proximity_constant / math.sqrt(1.0 - rates["delta"]),
+    )
+
+
+def _rate_constants(delta, k, gamma):
+    """The :class:`BoundConstants` fields that depend on (delta, k, gamma)
+    alone, as a dict."""
     delta = float(delta)
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     phi = _selection_width(k, gamma)
     one_minus_sq = math.sqrt(1.0 - delta * delta)
     beta = phi * delta / one_minus_sq
@@ -424,9 +433,6 @@ def bound_constants(delta, k, gamma, sigma, matrix_norm, theta):
     c2 = phi * math.sqrt(1.0 + delta) / one_minus_sq + math.sqrt(1.0 + delta) / (1.0 - delta)
     geo = _geometric_sum(varrho, k)
     tau = c1 * geo + (c2 / (1.0 - beta) if beta < 1.0 else math.inf)
-    norm = float(matrix_norm)
-    proximity_constant = _proximity_constant(norm, sigma)
-    epsilon = float(theta) * proximity_constant / math.sqrt(1.0 - delta)
     inflate = GOLDEN_ETA / one_minus_sq
     beta_star = inflate * beta
     zeta = math.sqrt(1.0 + delta) / (1.0 - delta)
@@ -434,27 +440,10 @@ def bound_constants(delta, k, gamma, sigma, matrix_norm, theta):
     tau_star = inflate * c1 * geo + (
         (c2_star + zeta) / (1.0 - beta_star) if beta_star < 1.0 else math.inf
     )
-    return BoundConstants(
-        delta=delta,
-        k=int(k),
-        gamma=float(gamma),
-        sigma=float(sigma),
-        matrix_norm=norm,
-        theta=float(theta),
-        phi=phi,
-        beta=beta,
-        varrho=varrho,
-        c1=c1,
-        c2=c2,
-        tau=tau,
-        eta=GOLDEN_ETA,
-        zeta=zeta,
-        beta_star=beta_star,
-        tau_star=tau_star,
-        proximity_constant=proximity_constant,
-        epsilon=epsilon,
-        beta_lt_one=beta < 1.0,
-        beta_star_lt_one=beta_star < 1.0,
+    return dict(
+        delta=delta, k=int(k), gamma=float(gamma), phi=phi, beta=beta, varrho=varrho,
+        c1=c1, c2=c2, tau=tau, eta=GOLDEN_ETA, zeta=zeta, beta_star=beta_star,
+        tau_star=tau_star, beta_lt_one=beta < 1.0, beta_star_lt_one=beta_star < 1.0,
     )
 
 
@@ -538,7 +527,6 @@ class RecoveryBoundCheck:
     margins: tuple
     passed: bool | None
     note: str = ""
-    constants: BoundConstants | None = field(default=None, compare=False)
 
 
 def verify_recovery_bound(
@@ -557,13 +545,15 @@ def verify_recovery_bound(
     closed-form threshold are reported inconclusive, never failed.  While
     the accumulated support stays within (c-2)k the iterate's distance to
     the best k-term approximation must lie below the geometric bound plus
-    the noise term.  An invalid A, x or noise raises ValueError first.
+    the noise term.  An invalid A, x or noise, or c*k above the n columns,
+    raises ValueError first.
     """
     if algorithm not in ("domp", "edomp"):
         raise ValueError("recovery bound applies to the dynamic-selection solvers")
     if c <= 2:
         raise ValueError(f"c must exceed 2, got {c}")
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
+    _check_order(c, k, A.shape[1])
     ric = _ric(_gram(A), c * k, cap)
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
     if ric.delta >= limit or ric.delta == 0.0:
@@ -583,13 +573,9 @@ def verify_recovery_bound(
     y = A @ x + noise
     x_best = linalg.hard_threshold(x, k)
     nu_prime = float(np.linalg.norm(y - A @ x_best))
-    matrix_norm = linalg._spectral_norm(A)
-    consts = bound_constants(
-        ric.delta, k, gamma, sigma=1e8 * matrix_norm**2 or 1.0,
-        matrix_norm=matrix_norm, theta=_theta(A, y),
-    )
-    decay = consts.beta if algorithm == "domp" else consts.beta_star
-    tail = consts.tau if algorithm == "domp" else consts.tau_star
+    rates = _rate_constants(ric.delta, k, gamma)
+    decay = rates["beta"] if algorithm == "domp" else rates["beta_star"]
+    tail = rates["tau"] if algorithm == "domp" else rates["tau_star"]
     start_gap = float(np.linalg.norm(x_best))
     support_cap = (c - 2) * k
 
@@ -603,7 +589,7 @@ def verify_recovery_bound(
         with np.errstate(over="ignore"):
             geometric = (
                 np.float64(decay) ** (state.p - 1)
-                * (np.float64(consts.varrho) / np.float64(decay)) ** k
+                * (np.float64(rates["varrho"]) / np.float64(decay)) ** k
                 * start_gap
             )
         rhs = float(geometric + tail * nu_prime)
@@ -618,7 +604,6 @@ def verify_recovery_bound(
         eligible_iterations=len(margins),
         margins=tuple(margins),
         passed=passed,
-        constants=consts,
     )
 
 
@@ -648,6 +633,11 @@ def _trial_rng(seed, trial):
 def _check_sparsity(k, n):
     if not 1 <= k <= n:
         raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
+
+
+def _check_order(c, k, n):
+    if c * k > n:
+        raise ValueError(f"the bound's RIC order c*k = {c * k} (c={c}, k={k}) exceeds n={n}")
 
 
 def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
@@ -755,6 +745,7 @@ def recovery_bound_suite(
     when no iteration is eligible.
     """
     _check_sparsity(k, n)
+    _check_order(c, k, n)
     if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
 
@@ -816,20 +807,21 @@ def _thresholding_distance_trial(rng):
     return rhs - lhs
 
 
-def _projection_error_trial(rng, m=40, n=10, k=2, cap=DEFAULT_ENUMERATION_CAP):
+def _projection_error_trial(rng):
     """One check of the support-projection error bound with exact RICs.
 
     Resamples the matrix (deterministically) until delta_2k < 1 so the
     bound is defined.
     """
+    m, n, k = 40, 10, 2
     for _ in range(64):
         A = rng.standard_normal((m, n)) / np.sqrt(m)
-        delta_2k = ric_exact(A, 2 * k, cap=cap).delta
+        delta_2k = ric_exact(A, 2 * k).delta
         if delta_2k < 1.0:
             break
     else:
         return None
-    delta_k = ric_exact(A, k, cap=cap).delta
+    delta_k = ric_exact(A, k).delta
     support = rng.choice(n, size=k, replace=False)
     x_best = np.zeros(n)
     x_best[support] = rng.standard_normal(k)

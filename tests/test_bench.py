@@ -85,6 +85,31 @@ def test_ensemble_spec_validation():
             EnsembleSpec(m=5, n=5, k=1, master_seed=1, noise_amplitude=amplitude)
     with pytest.warns(RuntimeWarning):
         EnsembleSpec(m=5, n=3, k=1, master_seed=1)
+    with pytest.warns(RuntimeWarning):
+        EnsembleSpec(m=2, n=5, k=3, master_seed=1)
+    with pytest.raises(ValueError, match="k=4 exceeds the n=3 columns"):
+        EnsembleSpec(m=5, n=3, k=4, master_seed=1)
+
+
+@pytest.mark.parametrize(
+    "sweep,message",
+    [
+        (lambda: success_curves(EnsembleSpec(m=20, n=30, k=3, master_seed=1), [3, 40],
+                                ["omp", "domp"], trials=2), "k=40 exceeds the n=30 columns"),
+        (lambda: gamma_sweep(EnsembleSpec(m=20, n=30, k=3, master_seed=1), [0.9], [3, 31],
+                             ["domp"], 2), "k=31 exceeds the n=30 columns"),
+        (lambda: scaling_benchmark([20], ["omp"], 2, master_seed=1, k_ratio=6, timed=False),
+         "k=120 exceeds the n=100 columns"),
+    ],
+    ids=["phase-k", "phase-gamma", "scaling"],
+)
+def test_sparsity_above_n_fails_before_any_trial(monkeypatch, sweep, message):
+    trials = []
+    trial = bench.run_trial
+    monkeypatch.setattr(bench, "run_trial", lambda *a, **kw: trials.append(a) or trial(*a, **kw))
+    with pytest.raises(ValueError, match=message):
+        sweep()
+    assert trials == []
 
 
 def test_crc_threshold():

@@ -186,7 +186,7 @@ def test_one_finiteness_scan_per_verify_projection_proximity(monkeypatch):
 
 @pytest.mark.parametrize("m,applicable", [(40, False), (80, True)])
 def test_finiteness_scans_per_verify_recovery_bound(monkeypatch, m, applicable):
-    # One scan of (A, noise, x) for the RIC, norm and theta; an instance
+    # One scan of (A, noise, x) for the RIC; an instance
     # past the RIC gate adds the scan of the solver run it drives, on the
     # measurements y = A x + noise that it forms.
     A = np.random.default_rng(33).standard_normal((m, 6)) / np.sqrt(m)

@@ -287,6 +287,29 @@ def test_verify_bound_suite_inconclusive_exits_zero(capsys):
     assert payload["inconclusive"] == 4
 
 
+def test_verify_bound_suite_rejects_an_order_above_n_before_any_trial(monkeypatch, capsys):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    code = main(["verify", "--suite", "bound-domp", "--trials", "1", "--seed", "1",
+                 "--k", "5", "--c", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the bound's RIC order c*k = 15 (c=3, k=5) exceeds n=12\n"
+
+
+def test_sweep_with_sparsity_above_n_fails_before_any_trial(monkeypatch, capsys, tmp_path):
+    trials = []
+    trial = bench.run_trial
+    monkeypatch.setattr(bench, "run_trial", lambda *a, **kw: trials.append(a) or trial(*a, **kw))
+    out = tmp_path / "k.csv"
+    code = main(["phase-k", "--seed", "1", "--m", "20", "--n", "30", "--k-levels", "40",
+                 "--trials", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sparsity k=40 exceeds the n=30 columns\n"
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_aux_suite(capsys):
     code = main(["verify", "--suite", "aux-inequalities", "--trials", "25", "--seed", "77"])
     assert code == 0

@@ -304,6 +304,18 @@ def test_highest_rip_order_sweeps_when_delta_n_is_within_rounding_of_one(monkeyp
     assert orders == [1, 2, 3]
 
 
+def test_highest_rip_order_sweeps_when_delta_n_is_within_the_ric_margin_of_one(monkeypatch):
+    # delta_3 = 1 - 4e-14 lies below 1 by less than tau(3) = 6.7e-14, the
+    # margin _ric uses at order 3, though by more than the 2.2e-14 of
+    # 2 (8n + 1) eps ||G||_2, so the sweep decides
+    A = np.diag(np.sqrt([2.0 - 4e-14, 1.0, 1.0]))
+    assert 4e-14 < theory._eig_margin(A.T @ A, 3)
+    assert _bottom_up(A) == 3
+    orders = _count_ric(monkeypatch)
+    assert theory.highest_rip_order(A) == 3
+    assert orders == [1, 2, 3]
+
+
 @pytest.mark.parametrize("scale", [1.5, 0.0])
 def test_highest_rip_order_stops_at_order_one_before_the_gram_eigensolve(monkeypatch, scale):
     # a tall A with a column of squared norm 2.25 or 0 has delta_1 >= 1: it
@@ -470,6 +482,13 @@ def test_bound_constants_validation():
         theory.bound_constants(0.5, 5, 0.9, 0.0, 1.0, 1.0)
 
 
+def test_rate_constants_are_the_bound_constants_of_delta_k_and_gamma():
+    consts = theory.bound_constants(0.3, 4, 0.9, sigma=1e8, matrix_norm=2.0, theta=1.5)
+    rates = theory._rate_constants(0.3, 4, 0.9)
+    assert rates == {key: getattr(consts, key) for key in rates}
+    assert set(rates) >= {"beta", "tau", "varrho", "beta_star", "tau_star"}
+
+
 def test_proximity_constant_shrinks_with_sigma():
     c1 = theory.bound_constants(0.1, 5, 0.9, 1e8, 2.0, 1.0).proximity_constant
     c2 = theory.bound_constants(0.1, 5, 0.9, 2e8, 2.0, 1.0).proximity_constant
@@ -547,6 +566,29 @@ def test_recovery_bound_rejects_bad_inputs():
         theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 1, 0.9, c=2)
     with pytest.raises(ValueError):
         theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 1, 0.9, c=3, algorithm="omp")
+    with pytest.raises(ValueError, match=r"c\*k = 6 \(c=3, k=2\) exceeds n=4"):
+        theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 2, 0.9, c=3)
+
+
+def test_recovery_bound_suite_rejects_an_order_above_n_before_trial_zero(monkeypatch):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=r"c\*k = 15 \(c=3, k=5\) exceeds n=12"):
+        theory.recovery_bound_suite(1, 1, k=5, c=3)
+
+
+def test_recovery_bound_reads_neither_the_norm_nor_theta(monkeypatch):
+    # the bound reads only constants of (delta, k, gamma)
+    def unused(*args):
+        raise AssertionError("the recovery bound does not read ||A||_2 or theta")
+
+    monkeypatch.setattr(linalg, "_spectral_norm", unused)
+    monkeypatch.setattr(theory, "_theta", unused)
+    A = np.random.default_rng(33).standard_normal((80, 6)) / np.sqrt(80)
+    x = np.zeros(6)
+    x[2] = 1.0
+    check = theory.verify_recovery_bound(A, x, np.zeros(80), 1, 0.9, 3)
+    assert check.applicable
+    assert check.passed
 
 
 def test_threshold_inequality_zero_slope_edge():
