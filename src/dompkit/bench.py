@@ -47,25 +47,20 @@ __all__ = [
     "success_curves",
 ]
 
-SCALING_MODES = ("raw", "one-over-sqrt-m")
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """One random-problem ensemble: sizes, column scaling, seed, noise."""
+    """One random-problem ensemble: sizes, seed, noise.  The entries of A
+    are standard normal, with no column scaling."""
 
     m: int
     n: int
     k: int
     master_seed: int
-    scaling: str = "raw"
     noise_amplitude: float = 0.0
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.k < 1:
             raise ValueError("m, n and k must be positive")
-        if self.scaling not in SCALING_MODES:
-            raise ValueError(f"scaling must be one of {SCALING_MODES}, got {self.scaling!r}")
         if not (np.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
         if self.master_seed < 0:
@@ -97,8 +92,6 @@ def generate_problem(spec, trial_index):
     )
     rng = np.random.default_rng(seq)
     A = rng.standard_normal((spec.m, spec.n))
-    if spec.scaling == "one-over-sqrt-m":
-        A /= np.sqrt(spec.m)
     support = rng.choice(spec.n, size=spec.k, replace=False)
     x = np.zeros(spec.n)
     x[support] = rng.standard_normal(spec.k)
@@ -293,7 +286,7 @@ def _success_stats(outcomes, budget=None):
 
 
 def _ensemble_fields(spec):
-    return {"m": spec.m, "n": spec.n, "scaling": spec.scaling, "noise": spec.noise_amplitude}
+    return {"m": spec.m, "n": spec.n, "scaling": "raw", "noise": spec.noise_amplitude}
 
 
 def gamma_sweep(spec, gammas, ks, algorithms, trials):
@@ -372,20 +365,10 @@ def _scaling_stats(entries):
     }
 
 
-def scaling_benchmark(
-    ms,
-    algorithms,
-    trials,
-    master_seed,
-    gamma=0.9,
-    n_factor=5,
-    k_ratio=0.3,
-    scaling="raw",
-    timed=True,
-):
+def scaling_benchmark(ms, algorithms, trials, master_seed, gamma=0.9, timed=True):
     """Iterations-to-recovery and runtime across problem sizes.
 
-    n = n_factor * m and k = round(k_ratio * m) per size.  Trials that
+    n = 5m and k = round(0.3m) per size, at least 1.  Trials that
     never meet the recovery criterion are counted separately and excluded
     from the mean-iterations statistic.  When timing is enabled each trial
     performs one warm-up run and three timed runs, each timed by the run's
@@ -395,11 +378,8 @@ def scaling_benchmark(
     iterate, never from a shared state.
     """
     ms = [int(m) for m in ms]
-    specs = [
-        EnsembleSpec(m=m, n=n_factor * m, k=max(1, round(k_ratio * m)), master_seed=master_seed,
-                     scaling=scaling)
-        for m in ms
-    ]
+    specs = [EnsembleSpec(m=m, n=5 * m, k=max(1, round(0.3 * m)), master_seed=master_seed)
+             for m in ms]
 
     def rerun(*trial):
         if not timed:
@@ -415,7 +395,7 @@ def scaling_benchmark(
             SweepCell({"algorithm": alg, "m": s.m, "n": s.n, "k": s.k}, _scaling_stats(entries))
             for s, entries in runs
         ],
-        provenance={"spec": {"n_factor": n_factor, "k_ratio": k_ratio, "scaling": scaling},
+        provenance={"spec": {"n_factor": 5, "k_ratio": 0.3, "scaling": "raw"},
                     "ms": ms, "gamma": gamma, "timed": timed},
         rerun=rerun,
     )

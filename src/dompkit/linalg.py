@@ -142,9 +142,8 @@ def _well_conditioned(diag):
     return diag.size and diag.min() > _COND_RECIP_LIMIT * diag.max()
 
 
-def _solve_submatrix_ls(A, y, support=None):
-    """Minimum-norm least-squares coefficients on the columns ``support`` of
-    A (every column of A when None).
+def _solve_submatrix_ls(A, y, support):
+    """Minimum-norm least-squares coefficients on the columns ``support`` of A.
 
     A tall submatrix As (no more columns than rows) of full column rank is
     solved from R alone: the R factor of ``[As | y]`` holds As's R in its
@@ -159,8 +158,6 @@ def _solve_submatrix_ls(A, y, support=None):
     (rank deficiency or near-collinearity) the solve falls back to an SVD
     (``lstsq``).
     """
-    if support is None:
-        support = np.arange(A.shape[1])
     m, s = A.shape[0], support.size
     if s <= m:
         Ay = np.empty((m, s + 1))

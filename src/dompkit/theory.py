@@ -475,12 +475,13 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     """
     A, y = linalg._system(A, y)
     n = A.shape[1]
+    _check_sparsity(k, n)
     support = linalg._as_support(support, n)
     selected = linalg._as_support(selected, n, name="selected")
     x_current = linalg._restricted_ls(A, y, support)
     r = A.T @ (y - A @ x_current)
     grown = np.union1d(support, selected).astype(np.int64)
-    top = linalg.top_q_indices(r, min(int(k), n))
+    top = linalg.top_q_indices(r, int(k))
     excluded = np.union1d(grown, linalg._as_support(true_support, n, name="true_support"))
     penalized = np.setdiff1d(top, excluded)
     enlarged = np.union1d(grown, penalized).astype(np.int64)
@@ -529,33 +530,20 @@ class RecoveryBoundCheck:
     note: str = ""
 
 
-def verify_recovery_bound(
-    A,
-    x,
-    noise,
-    k,
-    gamma,
-    c,
-    algorithm="domp",
-    cap=DEFAULT_ENUMERATION_CAP,
-):
+def verify_recovery_bound(A, x, noise, k, gamma, c, algorithm="domp"):
     """Run the solver and test the per-iteration error bound against it.
 
     The exact RIC of order c*k gates applicability: instances above the
     closed-form threshold are reported inconclusive, never failed.  While
     the accumulated support stays within (c-2)k the iterate's distance to
     the best k-term approximation must lie below the geometric bound plus
-    the noise term.  An invalid A, x or noise, or c*k above the n columns,
-    raises ValueError first.
+    the noise term.  An invalid A, x or noise, or an input that
+    :func:`_bound_limit` rejects, raises ValueError before the RIC is
+    enumerated.
     """
-    if algorithm not in ("domp", "edomp"):
-        raise ValueError("recovery bound applies to the dynamic-selection solvers")
-    if c <= 2:
-        raise ValueError(f"c must exceed 2, got {c}")
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
-    _check_order(c, k, A.shape[1])
-    ric = _ric(_gram(A), c * k, cap)
-    limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
+    limit = _bound_limit(algorithm, k, gamma, c, A.shape[1])
+    ric = _ric(_gram(A), c * k, DEFAULT_ENUMERATION_CAP)
     if ric.delta >= limit or ric.delta == 0.0:
         gated = ric.delta >= limit
         return RecoveryBoundCheck(
@@ -635,9 +623,17 @@ def _check_sparsity(k, n):
         raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
 
 
-def _check_order(c, k, n):
+def _bound_limit(algorithm, k, gamma, c, n):
+    """The RIC gate of the recovery bound on n columns, once its inputs pass:
+    a dynamic solver, c > 2, k in [1, n], c*k <= n and gamma in (0, 1]."""
+    if algorithm not in algorithms.DYNAMIC_SOLVERS:
+        raise ValueError("recovery bound applies to the dynamic-selection solvers")
+    if c <= 2:
+        raise ValueError(f"c must exceed 2, got {c}")
+    _check_sparsity(k, n)
     if c * k > n:
         raise ValueError(f"the bound's RIC order c*k = {c * k} (c={c}, k={k}) exceeds n={n}")
+    return domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
 
 
 def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
@@ -683,12 +679,11 @@ def projection_proximity_suite(
     n=30,
     k=4,
     gamma=0.9,
-    sigma_scale=1e8,
 ):
     """Randomized proximity verification across partially-run recoveries.
 
     One slack per trial: the smallest of the proximity bound's slack and
-    the two side bounds' slacks.
+    the two side bounds' slacks, at the penalty sigma = 1e8 ||A||_2^2.
     """
     _check_sparsity(k, n)
 
@@ -708,7 +703,7 @@ def projection_proximity_suite(
             if stop.value == "global-optimum":
                 state = algorithms.initial_state(A, y)
         selected = algorithms.select_dynamic_indices(state.r, k, gamma)
-        sigma = sigma_scale * linalg.spectral_norm(A) ** 2
+        sigma = 1e8 * linalg.spectral_norm(A) ** 2
         check = verify_projection_proximity(
             A, y, state.support, selected, k, sigma, true_support=true_support
         )
@@ -720,7 +715,7 @@ def projection_proximity_suite(
 
     return _run_suite(
         "proximity", trials, seed, trial_slacks,
-        {"m": m, "n": n, "k": k, "gamma": gamma, "sigma_scale": sigma_scale},
+        {"m": m, "n": n, "k": k, "gamma": gamma, "sigma_scale": 1e8},
     )
 
 
@@ -734,7 +729,6 @@ def recovery_bound_suite(
     gamma=0.9,
     algorithm="domp",
     noise_amplitude=0.0,
-    cap=DEFAULT_ENUMERATION_CAP,
 ):
     """Randomized reconstruction-bound verification on a gated ensemble.
 
@@ -744,8 +738,7 @@ def recovery_bound_suite(
     instance gives one slack, its smallest per-iteration margin, or none
     when no iteration is eligible.
     """
-    _check_sparsity(k, n)
-    _check_order(c, k, n)
+    _bound_limit(algorithm, k, gamma, c, n)
     if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
 
@@ -755,7 +748,7 @@ def recovery_bound_suite(
         x = np.zeros(n)
         x[support] = rng.standard_normal(k)
         noise = noise_amplitude * rng.standard_normal(m)
-        check = verify_recovery_bound(A, x, noise, k, gamma, c, algorithm=algorithm, cap=cap)
+        check = verify_recovery_bound(A, x, noise, k, gamma, c, algorithm=algorithm)
         if not check.applicable:
             return [None]
         return [min(mg[3] for mg in check.margins)] if check.margins else []
@@ -860,39 +853,38 @@ def auxiliary_inequality_suite(trials, seed):
     return _run_suite("aux-inequalities", trials, seed, trial_slacks, {}, families=_AUX_FAMILIES)
 
 
-def theta_equivalence_suite(trials, seed, max_n=10, tolerance=1e-10):
-    """Singleton-maximum theta against the exhaustive all-subsets oracle.
+def theta_equivalence_suite(trials, seed):
+    """Singleton-maximum theta against the exhaustive all-subsets oracle,
+    on matrices of 3 to 8 rows and 3 to 10 columns.
 
-    One slack per trial: the tolerance minus the gap between the two.
+    One slack per trial: the tolerance 1e-10 minus the gap between the two.
     """
 
     def trial_slacks(rng, trial):
-        n = int(rng.integers(3, max_n + 1))
+        n = int(rng.integers(3, 11))
         m = int(rng.integers(3, 9))
         A = rng.standard_normal((m, n))
         y = rng.standard_normal(m)
-        return [tolerance - abs(theta_constant(A, y) - exhaustive_theta(A, y))]
+        return [1e-10 - abs(theta_constant(A, y) - exhaustive_theta(A, y))]
 
-    return _run_suite(
-        "theta", trials, seed, trial_slacks, {"max_n": max_n, "tolerance": tolerance}
-    )
+    return _run_suite("theta", trials, seed, trial_slacks, {"max_n": 10, "tolerance": 1e-10})
 
 
-def ric_monotonicity_suite(trials, seed, max_order=4, tolerance=1e-10):
-    """delta_q must be nondecreasing in q on random small matrices.
+def ric_monotonicity_suite(trials, seed):
+    """delta_q must be nondecreasing in q, for q = 1 to 4, on random
+    Gaussian/sqrt(m) matrices of 4 to 7 rows and 5 to 8 columns.
 
     One slack per adjacent pair of orders: delta_{q+1} - delta_q plus the
-    tolerance.
+    tolerance 1e-10.
     """
 
     def trial_slacks(rng, trial):
         m = int(rng.integers(4, 8))
-        n = int(rng.integers(max_order + 1, 9))
+        n = int(rng.integers(5, 9))
         A = rng.standard_normal((m, n)) / np.sqrt(m)
-        deltas = [ric_exact(A, q).delta for q in range(1, max_order + 1)]
-        return [high - low + tolerance for low, high in zip(deltas, deltas[1:])]
+        deltas = [ric_exact(A, q).delta for q in range(1, 5)]
+        return [high - low + 1e-10 for low, high in zip(deltas, deltas[1:])]
 
     return _run_suite(
-        "ric-monotone", trials, seed, trial_slacks,
-        {"max_order": max_order, "tolerance": tolerance},
+        "ric-monotone", trials, seed, trial_slacks, {"max_order": 4, "tolerance": 1e-10}
     )

@@ -137,7 +137,7 @@ def test_criterion_03_omp_equivalence():
 
 
 def test_criterion_04_theta_oracle_equivalence():
-    summary = theory.theta_equivalence_suite(50, seed=777, max_n=10, tolerance=1e-10)
+    summary = theory.theta_equivalence_suite(50, seed=777)
     ok = summary.violations == 0
     line = _report(
         4,
@@ -149,7 +149,7 @@ def test_criterion_04_theta_oracle_equivalence():
 
 
 def test_criterion_05_projection_proximity():
-    summary = theory.projection_proximity_suite(200, seed=888, m=15, n=30, k=4, sigma_scale=1e8)
+    summary = theory.projection_proximity_suite(200, seed=888, m=15, n=30, k=4)
     ok = summary.violations == 0 and summary.min_slack is not None and summary.min_slack >= 0
     line = _report(
         5,

@@ -103,10 +103,12 @@ def test_recover_dimension_mismatch(tmp_path):
 
 
 def test_recover_seeded_fixture_with_truth(tmp_path, capsys):
-    # fixture produced by the seeded ensemble; recovery verified against it
-    spec = bench.EnsembleSpec(m=100, n=400, k=10, master_seed=20240915,
-                              scaling="one-over-sqrt-m")
-    A, x, y = bench.generate_problem(spec, 0)
+    # fixture produced by the seeded ensemble, A scaled by 1/sqrt(m);
+    # recovery verified against it
+    spec = bench.EnsembleSpec(m=100, n=400, k=10, master_seed=20240915)
+    A, x, _ = bench.generate_problem(spec, 0)
+    A /= np.sqrt(100)
+    y = A @ x
     matrix = tmp_path / "A.txt"
     measurements = tmp_path / "y.txt"
     truth = tmp_path / "x.txt"
@@ -295,6 +297,21 @@ def test_verify_bound_suite_rejects_an_order_above_n_before_any_trial(monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the bound's RIC order c*k = 15 (c=3, k=5) exceeds n=12\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--c", "2", "c must exceed 2, got 2"),
+    ("--gamma", "0", "gamma must lie in (0, 1], got 0.0"),
+], ids=["c", "gamma"])
+def test_verify_bound_suite_rejects_c_or_gamma_before_any_trial(monkeypatch, capsys, tmp_path,
+                                                              flag, value, message):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    out = tmp_path / "bad.json"
+    code = main(["verify", "--suite", "bound-domp", "--trials", "3", "--seed", "1",
+                 flag, value, "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_with_sparsity_above_n_fails_before_any_trial(monkeypatch, capsys, tmp_path):
@@ -491,7 +508,7 @@ def _preset_grid(sweep, preset):
     ms = [200, 400, 600, 800, 1000] if preset == "desk" else list(range(200, 2001, 200))
     return "scaling_benchmark", dict(ms=ms, algorithms=FIVE_SOLVERS,
                                      trials={"desk": 10, "full": 50}[preset], master_seed=5,
-                                     gamma=0.9, n_factor=5, k_ratio=0.3, scaling="raw", timed=True)
+                                     gamma=0.9, timed=True)
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])

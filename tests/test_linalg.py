@@ -187,7 +187,7 @@ def test_restricted_ls_wide_seminormal_error_against_the_q_solution(monkeypatch)
                     oracle = np.linalg.pinv(As) @ y
                     Q, R = np.linalg.qr(As.T)
                     through_q = Q @ np.linalg.solve(R.T, y)
-                    x = linalg._solve_submatrix_ls(As, y)
+                    x = linalg._solve_submatrix_ls(As, y, np.arange(s))
                     errors.append([np.linalg.norm(z - oracle) / np.linalg.norm(oracle)
                                    for z in (x, through_q)])
                 errors = np.array(errors)

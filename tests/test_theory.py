@@ -509,6 +509,15 @@ def test_projection_proximity_trivial_when_nothing_penalized():
     assert check.passed
 
 
+@pytest.mark.parametrize("k", [0, 13])
+def test_projection_proximity_rejects_a_sparsity_outside_one_to_n(k):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((40, 12))
+    y = rng.standard_normal(40)
+    with pytest.raises(ValueError, match=rf"sparsity k={k} must lie in \[1, n\] for n=12 columns"):
+        theory.verify_projection_proximity(A, y, [], [3], k, 1.0)
+
+
 def test_projection_proximity_suite_clean():
     summary = theory.projection_proximity_suite(40, seed=2024)
     assert summary.violations == 0
@@ -568,6 +577,26 @@ def test_recovery_bound_rejects_bad_inputs():
         theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 1, 0.9, c=3, algorithm="omp")
     with pytest.raises(ValueError, match=r"c\*k = 6 \(c=3, k=2\) exceeds n=4"):
         theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 2, 0.9, c=3)
+    with pytest.raises(ValueError, match=r"sparsity k=0 must lie in \[1, n\] for n=4 columns"):
+        theory.verify_recovery_bound(A, np.ones(4), np.zeros(4), 0, 0.9, c=3)
+
+
+def test_recovery_bound_checks_gamma_before_the_ric(monkeypatch):
+    monkeypatch.setattr(theory, "_ric", lambda *a: pytest.fail("the RIC was enumerated"))
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        theory.verify_recovery_bound(np.eye(4), np.ones(4), np.zeros(4), 1, 0.0, c=3)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"c": 2}, "c must exceed 2, got 2"),
+    ({"gamma": 0.0}, r"gamma must lie in \(0, 1\], got 0.0"),
+    ({"gamma": -1.0}, r"gamma must lie in \(0, 1\], got -1.0"),
+    ({"algorithm": "omp"}, "applies to the dynamic-selection solvers"),
+], ids=["c", "gamma-zero", "gamma-negative", "algorithm"])
+def test_recovery_bound_suite_checks_its_inputs_before_trial_zero(monkeypatch, bad, message):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=message):
+        theory.recovery_bound_suite(3, 1, **bad)
 
 
 def test_recovery_bound_suite_rejects_an_order_above_n_before_trial_zero(monkeypatch):
