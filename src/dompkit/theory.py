@@ -623,6 +623,11 @@ def _check_sparsity(k, n):
         raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
 
 
+def _check_rows(m):
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+
+
 def _bound_limit(algorithm, k, gamma, c, n):
     """The RIC gate of the recovery bound on n columns, once its inputs pass:
     a dynamic solver, c > 2, k in [1, n], c*k <= n and gamma in (0, 1]."""
@@ -685,7 +690,9 @@ def projection_proximity_suite(
     One slack per trial: the smallest of the proximity bound's slack and
     the two side bounds' slacks, at the penalty sigma = 1e8 ||A||_2^2.
     """
+    _check_rows(m)
     _check_sparsity(k, n)
+    algorithms._check_gamma(gamma)
 
     def trial_slacks(rng, trial):
         A = rng.standard_normal((m, n))
@@ -738,6 +745,7 @@ def recovery_bound_suite(
     instance gives one slack, its smallest per-iteration margin, or none
     when no iteration is eligible.
     """
+    _check_rows(m)
     _bound_limit(algorithm, k, gamma, c, n)
     if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")

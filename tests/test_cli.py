@@ -314,6 +314,16 @@ def test_verify_bound_suite_rejects_c_or_gamma_before_any_trial(monkeypatch, cap
     assert not out.exists()
 
 
+def test_verify_proximity_suite_rejects_gamma_before_any_trial(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    out = tmp_path / "bad.json"
+    code = main(["verify", "--suite", "proximity", "--trials", "3", "--seed", "1",
+                 "--gamma", "0", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: gamma must lie in (0, 1], got 0.0\n"
+    assert not out.exists()
+
+
 def test_sweep_with_sparsity_above_n_fails_before_any_trial(monkeypatch, capsys, tmp_path):
     trials = []
     trial = bench.run_trial

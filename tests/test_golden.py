@@ -17,7 +17,11 @@ from Q: floats moved in their last digits (at most 1.41e-12 relative)
 and no decision field changed.  The omp, gomp, domp and edomp reports
 were re-recorded again when the incremental QR moved to one block append
 per step: floats moved in their last digits (at most 2.42e-13 relative)
-and no decision field changed.  ``verify-proximity.json`` was re-recorded
+and no decision field changed.  The cosamp, edomp and sp reports were
+re-recorded again when from-scratch least squares moved to the Gram
+matrix with one correction step: 505, 8 and 9 floats moved in their last
+digits (at most 3.59e-13 relative) and no decision field changed.
+``verify-proximity.json`` was re-recorded
 once, alone, and only its ``min_slack`` changed (4.651663070295082e-05 to
 4.6516630702947733e-05, 456 ulps): the committed value no longer came
 out of any commit since the kernel moved to the R of ``[A_S | y]``, with

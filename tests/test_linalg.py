@@ -116,22 +116,23 @@ def test_restricted_ls_duplicate_columns_minimum_norm():
     assert np.allclose(x[[0, 1]], [0.5, 0.5], atol=1e-10)
 
 
-def _counting_lstsq(monkeypatch):
+def _counting(monkeypatch, name):
+    """Shapes of the first argument of each call to ``np.linalg.<name>``."""
     calls = []
-    lstsq = np.linalg.lstsq
+    function = getattr(np.linalg, name)
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
 
 
 def test_restricted_ls_wide_support_is_minimum_norm_without_svd(monkeypatch):
     # More columns than rows and full row rank: the QR of A_S^T gives the
     # minimum-norm solution, the SVD oracle's, and lstsq is never called.
-    calls = _counting_lstsq(monkeypatch)
+    calls = _counting(monkeypatch, "lstsq")
     rng = np.random.default_rng(24)
     for m in (1, 5, 12, 30):
         n = 4 * m
@@ -150,7 +151,7 @@ def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypat
     # Duplicate and zero columns leave a wide A_S of rank 4 < m = 6: the
     # QR of A_S^T fails the conditioning test and lstsq returns the
     # minimum-norm solution.
-    calls = _counting_lstsq(monkeypatch)
+    calls = _counting(monkeypatch, "lstsq")
     rng = np.random.default_rng(25)
     B = rng.standard_normal((6, 4))
     A = np.column_stack([B, B[:, :3], np.zeros(6), rng.standard_normal((6, 3))])
@@ -166,13 +167,14 @@ def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypat
 
 def test_restricted_ls_wide_seminormal_error_against_the_q_solution(monkeypatch):
     # Wide A_S = U diag(sigma) V^T with log-spaced singular values and
-    # condition number kappa, solved from R alone (A_S^T R^-1 R^-T y)
-    # against the solution through the explicit Q of A_S^T (Q R^-T y),
-    # each measured by its distance to the SVD oracle.  The seminormal
-    # solution is forward stable, with a larger constant: typically about
-    # 3x the Q solution's error, and at most 8x for the worst of 8 draws
-    # in this grid.
-    calls = _counting_lstsq(monkeypatch)
+    # condition number kappa, solved through the Gram matrix with one
+    # correction, or from R alone (A_S^T R^-1 R^-T y) where the correction
+    # is too large, against the solution through the explicit Q of A_S^T
+    # (Q R^-T y), each measured by its distance to the SVD oracle.  The
+    # seminormal solution is forward stable, with a larger constant:
+    # typically about 3x the Q solution's error, and at most 8x for the
+    # worst of 8 draws in this grid.
+    calls = _counting(monkeypatch, "lstsq")
     ratios, worst = [], 0.0
     for m in (10, 40, 125):
         for s in (m + 1, round(1.2 * m)):
@@ -198,12 +200,86 @@ def test_restricted_ls_wide_seminormal_error_against_the_q_solution(monkeypatch)
     assert worst <= 10.0
 
 
+def test_restricted_ls_tall_gram_error_against_the_r_solution(monkeypatch):
+    # Tall A_S = U diag(sigma) V^T with log-spaced singular values and
+    # condition number kappa, solved through the Gram matrix with one
+    # correction (or, where the correction is too large, by QR) against
+    # the solution from the R of [A_S | y], each measured by its distance
+    # to the SVD oracle.  Normal equations alone lose accuracy as kappa^2;
+    # the correction limit keeps the result within a small factor of the
+    # R solution's error.
+    calls = _counting(monkeypatch, "lstsq")
+    ratios, worst = [], 0.0
+    for m, s in ((40, 10), (125, 50), (300, 150), (125, 125)):
+        for kappa in 10.0 ** np.arange(2, 11):
+            errors = []
+            for seed in range(8):
+                rng = np.random.default_rng([m, s, int(np.log10(kappa)), seed])
+                U = np.linalg.qr(rng.standard_normal((m, s)))[0]
+                V = np.linalg.qr(rng.standard_normal((s, s)))[0]
+                As = (U * np.geomspace(1.0, 1.0 / kappa, s)) @ V.T
+                y = rng.standard_normal(m)
+                oracle = np.linalg.pinv(As) @ y
+                R = np.linalg.qr(np.column_stack([As, y]), mode="r")
+                through_r = np.linalg.solve(R[:s, :s], R[:s, s])
+                x = linalg._solve_submatrix_ls(As, y, np.arange(s))
+                errors.append([np.linalg.norm(z - oracle) / np.linalg.norm(oracle)
+                               for z in (x, through_r)])
+            errors = np.array(errors)
+            ratios += list(errors[:, 0] / errors[:, 1])
+            worst = max(worst, errors[:, 0].max() / errors[:, 1].max())
+    assert calls == []
+    assert np.median(ratios) <= 4.0
+    assert worst <= 10.0
+
+
+@pytest.mark.parametrize("s", [50, 150], ids=["tall", "wide"])
+def test_restricted_ls_takes_the_gram_route_unless_its_correction_is_large(monkeypatch, s):
+    # Gaussian supports are well conditioned: the corrected Gram solve is
+    # accepted and no QR runs.  At kappa = 1e8 the correction measures the
+    # squared condition number and the solve falls back to QR.
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((125, 500))
+    y = rng.standard_normal(125)
+    support = np.sort(rng.choice(500, size=s, replace=False))
+    r = min(125, s)
+    U = np.linalg.qr(rng.standard_normal((125, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((s, r)))[0]
+    As = (U * np.geomspace(1.0, 1e-8, r)) @ V.T
+    calls = _counting(monkeypatch, "qr")
+    x = linalg.restricted_least_squares(A, y, support)
+    assert calls == []
+    assert np.abs(x[support] - np.linalg.pinv(A[:, support]) @ y).max() <= 1e-10
+    linalg.restricted_least_squares(As, y, np.arange(s))
+    assert calls == [(125, s + 1) if s <= 125 else (s, 125)]
+
+
+@pytest.mark.parametrize("exponent", [520, -540])
+@pytest.mark.parametrize("s", [10, 60], ids=["tall", "wide"])
+def test_restricted_ls_declines_an_overflowing_or_underflowing_gram_matrix(monkeypatch, exponent,
+                                                                          s):
+    # With A and y scaled by 2^520 the Gram matrix overflows, and by
+    # 2^-540 it underflows: the Gram route is declined without a warning
+    # and the result is the QR path's, bit for bit.
+    rng = np.random.default_rng(32)
+    A = np.ldexp(rng.standard_normal((40, 120)), exponent)
+    y = np.ldexp(rng.standard_normal(40), exponent)
+    support = np.sort(rng.choice(120, size=s, replace=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = linalg.restricted_least_squares(A, y, support)
+        monkeypatch.setattr(linalg, "_gram_ls", lambda As, y: None)
+        through_qr = linalg.restricted_least_squares(A, y, support)
+    assert np.array_equal(x, through_qr)
+    assert np.abs(x[support] - np.linalg.pinv(A[:, support]) @ y).max() <= 1e-10
+
+
 @pytest.mark.parametrize("defect", ["zero", "duplicate"])
 def test_restricted_ls_square_rank_deficient_support_falls_back_to_lstsq(monkeypatch, defect):
     # s = m is still the tall path (the R of [A_S | y] is m x (m+1)); a zero
     # or duplicate column fails its conditioning test and lstsq returns the
     # minimum-norm solution.
-    calls = _counting_lstsq(monkeypatch)
+    calls = _counting(monkeypatch, "lstsq")
     rng = np.random.default_rng(28)
     A = rng.standard_normal((7, 10))
     A[:, 3] = 0.0 if defect == "zero" else A[:, 5]

@@ -592,11 +592,24 @@ def test_recovery_bound_checks_gamma_before_the_ric(monkeypatch):
     ({"gamma": 0.0}, r"gamma must lie in \(0, 1\], got 0.0"),
     ({"gamma": -1.0}, r"gamma must lie in \(0, 1\], got -1.0"),
     ({"algorithm": "omp"}, "applies to the dynamic-selection solvers"),
-], ids=["c", "gamma-zero", "gamma-negative", "algorithm"])
+    ({"m": 0}, "m must be at least 1, got 0"),
+    ({"m": -1}, "m must be at least 1, got -1"),
+], ids=["c", "gamma-zero", "gamma-negative", "algorithm", "m-zero", "m-negative"])
 def test_recovery_bound_suite_checks_its_inputs_before_trial_zero(monkeypatch, bad, message):
     monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
     with pytest.raises(ValueError, match=message):
         theory.recovery_bound_suite(3, 1, **bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"gamma": 0.0}, r"gamma must lie in \(0, 1\], got 0.0"),
+    ({"gamma": 1.5}, r"gamma must lie in \(0, 1\], got 1.5"),
+    ({"m": 0}, "m must be at least 1, got 0"),
+], ids=["gamma-zero", "gamma-above-one", "m-zero"])
+def test_projection_proximity_suite_checks_its_inputs_before_trial_zero(monkeypatch, bad, message):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=message):
+        theory.projection_proximity_suite(3, 1, **bad)
 
 
 def test_recovery_bound_suite_rejects_an_order_above_n_before_trial_zero(monkeypatch):
