@@ -18,8 +18,8 @@ product with the carried R^-1, in O(t^2), and reads the misfit from Q.
 It falls back to a from-scratch minimum-norm solve, and the misfit to a
 gather of A's columns, when the factorization yields no solution.
 CoSaMP, SP and EDOMP past k solve from scratch, through the Gram matrix
-with one correction step, or by Householder QR where the correction is
-too large (see ``linalg._solve_submatrix_ls``).
+with one correction step; where it is too large, by Householder QR on a
+tall support and by the SVD on a wide one (``linalg._solve_submatrix_ls``).
 
 A run can resume from a state of another (``iterate``'s ``start``).
 DOMP and EDOMP take the same steps until EDOMP first thresholds

@@ -208,13 +208,14 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, r
 
     Each trial's problem is drawn once and every (algorithm, gamma) runs
     on it once, through :func:`run_trial`, with ``budget(spec)``
-    iterations (None: the solver's default).  Of the DOMP and the EDOMP
-    run at one gamma, the second resumes from the first's
+    iterations (None: the solver's default); a solver that reads no gamma
+    runs once, and its result serves every gamma.  Of the DOMP and the
+    EDOMP run at one gamma, the second resumes from the first's
     ``shared_state``, so the steps the two share are taken once and each
     outcome is that of its run from the zero iterate.  Only the shared
     state outlives the first run, so the second appends to its QR buffer
-    in place and copies none of it.  A run's result is
-    its :class:`TrialOutcome`, or, with ``rerun``, the outcome followed by
+    in place and copies none of it.  A run's result is its
+    :class:`TrialOutcome`, or, with ``rerun``, the outcome followed by
     the items of ``rerun(A, y, truth, algorithm, k, gamma, budget,
     threshold)``, called after the run.  ``cells(algorithm, gamma, runs)``
     turns the results of one (algorithm, gamma), given as ``runs``, a list
@@ -246,8 +247,11 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, r
                 A, x, y = generate_problem(spec, t)
                 shared = {}  # gamma -> the first dynamic run's shared state
                 for alg, g in keys:
-                    trial = (A, y, x, alg, spec.k, g, budget(spec), threshold)
                     dynamic = alg in DYNAMIC_SOLVERS
+                    if not dynamic and g != gammas[0]:  # reads no gamma: reuse the first's
+                        runs[alg, g][i][1].append(runs[alg, gammas[0]][i][1][t])
+                        continue
+                    trial = (A, y, x, alg, spec.k, g, budget(spec), threshold)
                     outcome = run_trial(*trial, shared.get(g) if dynamic else None)
                     if dynamic:
                         shared.setdefault(g, outcome.shared_state)

@@ -164,15 +164,12 @@ def _solve_submatrix_ls(A, y, support):
     (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996).
     See ``_gram_ls`` for when that result is accepted.
 
-    Otherwise the solve falls back to Householder QR, never forming Q.  A
-    tall As of full column rank uses the R factor of ``[As | y]``, which
-    holds As's R in its leading s x s block and Q^T y above its last
-    diagonal entry, so the coefficients solve ``R[:s, :s] x = R[:s, s]``.
-    A wide one of full row rank uses the R of ``As^T = QR`` by the
-    seminormal equations: ``Q R^-T y`` is ``As^T R^-1 R^-T y``, as
-    ``Q = As^T R^-1``.  When R fails the ``_COND_RECIP_LIMIT`` test (rank
-    deficiency or near-collinearity) the solve falls back to an SVD
-    (``lstsq``).
+    Otherwise a tall As falls back to Householder QR, never forming Q: the
+    R factor of ``[As | y]`` holds As's R in its leading s x s block and
+    Q^T y above its last diagonal entry, so the coefficients solve
+    ``R[:s, :s] x = R[:s, s]``.  A wide As, or a tall one whose R fails
+    the ``_COND_RECIP_LIMIT`` test (rank deficiency or near-collinearity),
+    is solved by an SVD (``lstsq``).
     """
     m, s = A.shape[0], support.size
     As = A[:, support]
@@ -183,10 +180,6 @@ def _solve_submatrix_ls(A, y, support):
         R = np.linalg.qr(np.column_stack([As, y]), mode="r")
         if _well_conditioned(np.diag(R)[:s]):
             return np.linalg.solve(R[:s, :s], R[:s, s])
-    else:
-        R = np.linalg.qr(As.T, mode="r")
-        if _well_conditioned(np.diag(R)):
-            return As.T @ np.linalg.solve(R, np.linalg.solve(R.T, y))
     return np.linalg.lstsq(As, y, rcond=None)[0]
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +166,33 @@ def test_phase_gamma_stdout_shape(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "algorithm,gamma,k,trials,successes,success_rate,mean_iterations"
     assert len(lines) == 3
+
+
+def test_phase_gamma_runs_a_solver_that_ignores_gamma_once_per_trial(monkeypatch, tmp_path):
+    # OMP, GOMP, CoSaMP and SP read no gamma: one run per trial serves every
+    # gamma's row.  The files are those of a sweep that ran every
+    # (algorithm, gamma) separately, pinned by their SHA-256.
+    calls = []
+    engine = bench.run
+
+    def counted(A, y, config, **kwargs):
+        calls.append(config.algorithm)
+        return engine(A, y, config, **kwargs)
+
+    monkeypatch.setattr(bench, "run", counted)
+    out = tmp_path / "gamma.csv"
+    code = main(
+        ["phase-gamma", "--seed", "1", "--trials", "4", "--m", "30", "--n", "90",
+         "--k-levels", "3,6,9", "--gammas", "0.2,0.5,0.9",
+         "--algos", "omp,gomp,cosamp,sp,domp,edomp", "--out", str(out)]
+    )
+    assert code == 0
+    assert Counter(calls) == {"omp": 12, "gomp": 12, "cosamp": 12, "sp": 12, "domp": 36,
+                              "edomp": 36}
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, tmp_path / "gamma.csv.meta.json")]
+    assert digests == ["f997908e122bc3534290f8d45d030e18633abd6b514f658c2db1095e95214786",
+                       "249b4676cff359ddf5476e1a4a8dfafecf4edd60deba90417a9376b4beb137be"]
 
 
 def test_phase_k_noisy_criterion(tmp_path):
@@ -468,6 +497,73 @@ def test_exit_code_table(exit_code_files, capsys, code, argv):
     for name, line in BAD_LINES.items():
         if "{%s}" % name in argv:
             assert f"{exit_code_files[name]}:{line}: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--k-levels", "3,x"], "argument --k-levels: expected comma-separated positive integers, "
+                                "got '3,x'"),
+        (["--k-levels", "0"], "argument --k-levels: expected comma-separated positive integers, "
+                              "got '0'"),
+        (["--trials", "0"], "argument --trials: expected a positive integer, got 0"),
+        (["--seed", "-1"], "argument --seed: expected a nonnegative integer, got -1"),
+    ],
+)
+def test_malformed_flag_value_exits_two_with_the_parsers_message(capsys, argv, message):
+    # argparse prints the usage line first, so stderr does not start with
+    # "error: " as a library rejection's does.
+    sweep = ["phase-gamma", "--seed", "1", "--trials", "1", "--m", "10", "--n", "20",
+             "--k-levels", "2"]
+    assert main([*sweep, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dompkit phase-gamma ")
+    assert captured.err.endswith(f"dompkit phase-gamma: error: {message}\n")
+
+
+def test_recover_truth_of_the_wrong_length_is_a_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    matrix, measurements, truth = (tmp_path / name for name in ("A.txt", "y.txt", "x.txt"))
+    linalg.save_matrix(matrix, rng.standard_normal((20, 400)))
+    linalg.save_vector(measurements, rng.standard_normal(20))
+    linalg.save_vector(truth, np.ones(5))
+    code = main(["recover", "--matrix", str(matrix), "--measurements", str(measurements),
+                 "--sparsity", "2", "--algo", "omp", "--truth", str(truth)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {truth}:1: truth length 5 does not match 400 columns\n"
+
+
+def test_recover_stops_on_the_measurement_residual(tmp_path, capsys):
+    A, _, y = bench.generate_problem(bench.EnsembleSpec(m=30, n=90, k=3, master_seed=4), 0)
+    matrix, measurements = tmp_path / "A.txt", tmp_path / "y.txt"
+    linalg.save_matrix(matrix, A)
+    linalg.save_vector(measurements, y)
+    code = main(["recover", "--matrix", str(matrix), "--measurements", str(measurements),
+                 "--sparsity", "3", "--algo", "omp", "--stop", "residual:1e-6"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["termination"] == "measurement-residual"
+    assert payload["residual_norm"] <= 1e-6
+
+
+def test_verify_counts_a_violation_and_exits_one(monkeypatch, capsys, tmp_path):
+    # One aux family made to fail on every trial: each of its checks is a
+    # violation of that family, the summary is still written, and the
+    # command exits 1.
+    monkeypatch.setitem(theory._AUX_FAMILIES, "thresholding-distance", lambda rng: -0.25)
+    out = tmp_path / "aux.json"
+    code = main(["verify", "--suite", "aux-inequalities", "--trials", "3", "--seed", "1",
+                 "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text())
+    assert payload["violations"] == 3
+    assert payload["parameters"]["per_family_violations"] == {
+        "threshold-inequality": 0, "thresholding-distance": 3, "projection-error": 0}
+    assert payload["min_slack"] == -0.25
 
 
 def test_bad_sweep_grid_fails_before_any_problem(monkeypatch, capsys):

@@ -130,8 +130,9 @@ def _counting(monkeypatch, name):
 
 
 def test_restricted_ls_wide_support_is_minimum_norm_without_svd(monkeypatch):
-    # More columns than rows and full row rank: the QR of A_S^T gives the
-    # minimum-norm solution, the SVD oracle's, and lstsq is never called.
+    # More columns than rows and full row rank: the corrected Gram solve
+    # gives the minimum-norm solution, the SVD oracle's, and lstsq is never
+    # called.
     calls = _counting(monkeypatch, "lstsq")
     rng = np.random.default_rng(24)
     for m in (1, 5, 12, 30):
@@ -149,8 +150,7 @@ def test_restricted_ls_wide_support_is_minimum_norm_without_svd(monkeypatch):
 
 def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypatch):
     # Duplicate and zero columns leave a wide A_S of rank 4 < m = 6: the
-    # QR of A_S^T fails the conditioning test and lstsq returns the
-    # minimum-norm solution.
+    # Gram route is declined and lstsq returns the minimum-norm solution.
     calls = _counting(monkeypatch, "lstsq")
     rng = np.random.default_rng(25)
     B = rng.standard_normal((6, 4))
@@ -165,17 +165,15 @@ def test_restricted_ls_wide_rank_deficient_support_falls_back_to_lstsq(monkeypat
     assert np.allclose(x[:3], x[4:7], rtol=0, atol=1e-12)
 
 
-def test_restricted_ls_wide_seminormal_error_against_the_q_solution(monkeypatch):
+def test_restricted_ls_wide_error_against_the_q_solution(monkeypatch):
     # Wide A_S = U diag(sigma) V^T with log-spaced singular values and
     # condition number kappa, solved through the Gram matrix with one
-    # correction, or from R alone (A_S^T R^-1 R^-T y) where the correction
-    # is too large, against the solution through the explicit Q of A_S^T
-    # (Q R^-T y), each measured by its distance to the SVD oracle.  The
-    # seminormal solution is forward stable, with a larger constant:
-    # typically about 3x the Q solution's error, and at most 8x for the
-    # worst of 8 draws in this grid.
+    # correction, or by the SVD (lstsq) where the correction is too large,
+    # against the solution through the explicit Q of A_S^T (Q R^-T y), each
+    # measured by its distance to the SVD oracle.  lstsq runs on exactly the
+    # draws whose Gram route is declined.
     calls = _counting(monkeypatch, "lstsq")
-    ratios, worst = [], 0.0
+    ratios, worst, declined, by_svd = [], 0.0, [], []
     for m in (10, 40, 125):
         for s in (m + 1, round(1.2 * m)):
             for kappa in 10.0 ** np.arange(2, 11):
@@ -189,13 +187,17 @@ def test_restricted_ls_wide_seminormal_error_against_the_q_solution(monkeypatch)
                     oracle = np.linalg.pinv(As) @ y
                     Q, R = np.linalg.qr(As.T)
                     through_q = Q @ np.linalg.solve(R.T, y)
+                    declined.append(linalg._gram_ls(As, y) is None)
+                    before = len(calls)
                     x = linalg._solve_submatrix_ls(As, y, np.arange(s))
+                    by_svd.append(len(calls) > before)
                     errors.append([np.linalg.norm(z - oracle) / np.linalg.norm(oracle)
                                    for z in (x, through_q)])
                 errors = np.array(errors)
                 ratios += list(errors[:, 0] / errors[:, 1])
                 worst = max(worst, errors[:, 0].max() / errors[:, 1].max())
-    assert calls == []
+    assert any(declined)
+    assert by_svd == declined
     assert np.median(ratios) <= 4.0
     assert worst <= 10.0
 
@@ -237,7 +239,8 @@ def test_restricted_ls_tall_gram_error_against_the_r_solution(monkeypatch):
 def test_restricted_ls_takes_the_gram_route_unless_its_correction_is_large(monkeypatch, s):
     # Gaussian supports are well conditioned: the corrected Gram solve is
     # accepted and no QR runs.  At kappa = 1e8 the correction measures the
-    # squared condition number and the solve falls back to QR.
+    # squared condition number and the solve falls back: a tall support to
+    # the R of [A_S | y], a wide one to lstsq.
     rng = np.random.default_rng(31)
     A = rng.standard_normal((125, 500))
     y = rng.standard_normal(125)
@@ -246,12 +249,14 @@ def test_restricted_ls_takes_the_gram_route_unless_its_correction_is_large(monke
     U = np.linalg.qr(rng.standard_normal((125, r)))[0]
     V = np.linalg.qr(rng.standard_normal((s, r)))[0]
     As = (U * np.geomspace(1.0, 1e-8, r)) @ V.T
-    calls = _counting(monkeypatch, "qr")
+    qr_calls = _counting(monkeypatch, "qr")
+    lstsq_calls = _counting(monkeypatch, "lstsq")
     x = linalg.restricted_least_squares(A, y, support)
-    assert calls == []
+    assert qr_calls == [] and lstsq_calls == []
     assert np.abs(x[support] - np.linalg.pinv(A[:, support]) @ y).max() <= 1e-10
     linalg.restricted_least_squares(As, y, np.arange(s))
-    assert calls == [(125, s + 1) if s <= 125 else (s, 125)]
+    expected = ([(125, s + 1)], []) if s <= 125 else ([], [(125, s)])
+    assert (qr_calls, lstsq_calls) == expected
 
 
 @pytest.mark.parametrize("exponent", [520, -540])
@@ -260,7 +265,7 @@ def test_restricted_ls_declines_an_overflowing_or_underflowing_gram_matrix(monke
                                                                           s):
     # With A and y scaled by 2^520 the Gram matrix overflows, and by
     # 2^-540 it underflows: the Gram route is declined without a warning
-    # and the result is the QR path's, bit for bit.
+    # and the result is the fallback's (QR or lstsq), bit for bit.
     rng = np.random.default_rng(32)
     A = np.ldexp(rng.standard_normal((40, 120)), exponent)
     y = np.ldexp(rng.standard_normal(40), exponent)
@@ -269,8 +274,8 @@ def test_restricted_ls_declines_an_overflowing_or_underflowing_gram_matrix(monke
         warnings.simplefilter("error")
         x = linalg.restricted_least_squares(A, y, support)
         monkeypatch.setattr(linalg, "_gram_ls", lambda As, y: None)
-        through_qr = linalg.restricted_least_squares(A, y, support)
-    assert np.array_equal(x, through_qr)
+        fallback = linalg.restricted_least_squares(A, y, support)
+    assert np.array_equal(x, fallback)
     assert np.abs(x[support] - np.linalg.pinv(A[:, support]) @ y).max() <= 1e-10
 
 
@@ -728,6 +733,7 @@ def test_files_with_blank_lines(tmp_path):
     "content,line",
     [
         ("", 1),
+        ("-1\n", 1),
         ("2\n1 2 3\n", 2),
         ("3\n1 nan 3\n", 2),
         ("3\n1 inf 3\n", 2),
