@@ -37,7 +37,6 @@ not lower the measurement residual (the step is rejected).  CoSaMP has
 no stall or residual test and runs to its budget.
 """
 
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -183,7 +182,7 @@ def omp_step(state, A, y):
 
 def gomp_step(state, A, y, n_select):
     """Add the ``n_select`` largest-magnitude gradient indices, then re-project."""
-    added = _top_nonzero(state.r, int(n_select))
+    added = _top_nonzero(state.r, n_select)
     return _next_state(A, y, state, added.size, *_grown(A, y, state, added))
 
 
@@ -192,7 +191,7 @@ def _top_nonzero(r, q):
     r = np.asarray(r, dtype=float)
     if not r.size or np.abs(r).max() == 0.0:
         raise ZeroResidualError("gradient residual is zero")
-    return linalg.top_q_indices(r, min(int(q), r.size))
+    return linalg.top_q_indices(r, min(q, r.size))
 
 
 def domp_step(state, A, y, k, gamma):
@@ -268,8 +267,7 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon}")
+        _check_threshold("epsilon", self.epsilon)
 
     @classmethod
     def measurement_residual(cls, epsilon):
@@ -292,6 +290,12 @@ class StoppingRule:
         return _relative_error(state.x, truth) <= self.epsilon
 
 
+def _check_threshold(name, value):
+    """A threshold is a nonnegative number: NaN and negatives are rejected."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be a nonnegative number, got {value}")
+
+
 def _relative_error(x, truth):
     """||x - truth|| / ||truth||, or the plain distance for a zero truth.
 
@@ -312,8 +316,10 @@ class AlgorithmConfig:
     0.9), ``n_select`` to gOMP only (default min(2, k-1) indices per
     iteration) and ``reset_support`` to EDOMP only; any of them set for
     another solver is rejected.
-    ``max_iterations`` is the one iteration budget, an int once built: by
-    default k for the support-growing solvers and 500 for CoSaMP/SP.
+    ``max_iterations`` is the one iteration budget: by default k for the
+    support-growing solvers and 500 for CoSaMP/SP.  k, ``n_select`` and
+    ``max_iterations`` pass ``linalg._integer`` and are Python ints once
+    built.
     """
 
     algorithm: str
@@ -327,13 +333,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}")
-        for name in ("k", "n_select", "max_iterations"):
-            value = getattr(self, name)
-            # numpy integers pass; a float such as 2.5 or 3.0 does not
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise ValueError(f"sparsity k must be at least 1, got {self.k}")
+        object.__setattr__(self, "k", linalg._integer("k", self.k, 1))
         if self.algorithm in DYNAMIC_SOLVERS:
             if self.gamma is None:
                 object.__setattr__(self, "gamma", 0.9)
@@ -345,16 +345,13 @@ class AlgorithmConfig:
         if self.reset_support and self.algorithm != "edomp":
             raise ValueError(f"reset_support applies to edomp only, not {self.algorithm}")
         if self.algorithm == "gomp":
-            if self.n_select is None:
-                if self.k < 2:
-                    raise ValueError(f"gOMP needs k >= 2 to select 1 <= N < k indices, got k={self.k}")
-                object.__setattr__(self, "n_select", min(2, self.k - 1))
-            if not 1 <= self.n_select < self.k:
-                raise ValueError(f"gOMP needs 1 <= N < k, got N={self.n_select}, k={self.k}")
+            if self.k < 2:
+                raise ValueError(f"gOMP needs k >= 2 to select 1 <= N < k indices, got k={self.k}")
+            n_select = min(2, self.k - 1) if self.n_select is None else self.n_select
+            object.__setattr__(self, "n_select", linalg._integer("n_select", n_select, 1, self.k - 1))
         if self.max_iterations is None:
             object.__setattr__(self, "max_iterations", 500 if self.algorithm in ("cosamp", "sp") else self.k)
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", linalg._integer("max_iterations", self.max_iterations, 0))
 
 
 @dataclass(frozen=True)
@@ -409,8 +406,7 @@ def _validated(A, y, config, truth):
         raise ValueError("relative-error rule needs the ground truth")
     else:
         A, y = linalg._system(A, y)
-    if config.k > A.shape[1]:
-        raise ValueError(f"sparsity k={config.k} exceeds the n={A.shape[1]} columns of A")
+    linalg._integer("k", config.k, 1, A.shape[1])
     return A, y, truth
 
 
@@ -494,14 +490,16 @@ def run(A, y, config, truth=None, success_threshold=1e-5, start=None):
     Deterministic given its inputs.  ``truth`` goes to :func:`iterate`,
     which checks it and stops a relative-error rule on it; when it is
     given, the report carries the relative error and a success flag at
-    ``success_threshold``.  Raises ValueError on invalid input (see
-    :func:`iterate`) and warns when k is not below m.
+    ``success_threshold``, a nonnegative number like a stopping rule's
+    epsilon.  Raises ValueError on invalid input (see :func:`iterate`) and
+    warns when k is not below m.
 
     ``start`` goes to :func:`iterate`.  A resumed report is the one of the
     run from the zero iterate, except that its trace holds only the states
     after ``start`` and its ``wall_time`` covers only their steps;
     ``iterations`` still counts every step from the zero iterate.
     """
+    _check_threshold("success_threshold", success_threshold)
     started = time.perf_counter()
     states = iterate(A, y, config, truth, start=start)
     state = next(states)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import DYNAMIC_SOLVERS, AlgorithmConfig, IterateState, StoppingRule, run
-from .linalg import top_q_indices
+from .linalg import _integer, top_q_indices
 
 __all__ = [
     "EnsembleSpec",
@@ -50,7 +50,8 @@ __all__ = [
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One random-problem ensemble: sizes, seed, noise.  The entries of A
-    are standard normal, with no column scaling."""
+    are standard normal, with no column scaling.  m, n, k (at most n) and
+    the seed pass ``linalg._integer`` and are Python ints once built."""
 
     m: int
     n: int
@@ -59,14 +60,11 @@ class EnsembleSpec:
     noise_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.k < 1:
-            raise ValueError("m, n and k must be positive")
+        counts = (("m", 1, None), ("n", 1, None), ("k", 1, self.n), ("master_seed", 0, None))
+        for name, low, high in counts:
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
         if not (np.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be nonnegative")
-        if self.k > self.n:
-            raise ValueError(f"sparsity k={self.k} exceeds the n={self.n} columns")
         if not self.k <= self.m <= self.n:
             warnings.warn(
                 f"nonstandard ensemble shape k={self.k}, m={self.m}, n={self.n} "
@@ -85,11 +83,8 @@ def generate_problem(spec, trial_index):
     same ensemble (the noise draw happens last and is only scaled by the
     amplitude).
     """
-    if trial_index < 0:
-        raise ValueError("trial index must be nonnegative")
-    seq = np.random.SeedSequence(
-        [int(spec.master_seed), int(spec.m), int(spec.n), int(spec.k), int(trial_index)]
-    )
+    trial_index = _integer("trial_index", trial_index, 0)
+    seq = np.random.SeedSequence([spec.master_seed, spec.m, spec.n, spec.k, trial_index])
     rng = np.random.default_rng(seq)
     A = rng.standard_normal((spec.m, spec.n))
     support = rng.choice(spec.n, size=spec.k, replace=False)
@@ -188,8 +183,6 @@ class SweepResult:
 
 
 def _format_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -231,8 +224,7 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, r
     keys = [(alg, g) for alg in algorithms for g in gammas]
     if not keys or not specs:
         raise ValueError("the sweep grid is empty")
-    if trials < 1:
-        raise ValueError(f"a sweep needs at least one trial per cell, got {trials}")
+    trials = _integer("trials", trials, 1)
     _require_distinct(keys, "(algorithm, gamma)")
     _require_distinct([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
     for spec in specs:
@@ -300,15 +292,15 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials):
     recovery criterion is met.
     """
     gammas = [float(g) for g in gammas]
-    ks = [int(k) for k in ks]
+    specs = [replace(spec, k=k) for k in ks]
     return _sweep(
-        "phase-gamma", [replace(spec, k=k) for k in ks], algorithms, gammas, trials,
+        "phase-gamma", specs, algorithms, gammas, trials,
         budget=lambda s: s.k,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "gamma": g, "k": s.k}, _success_stats(outcomes))
             for s, outcomes in runs
         ],
-        provenance={"spec": _ensemble_fields(spec), "gammas": gammas, "ks": ks},
+        provenance={"spec": _ensemble_fields(spec), "gammas": gammas, "ks": [s.k for s in specs]},
     )
 
 
@@ -318,28 +310,29 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9):
     Each solver runs once per trial, to the largest budget; every smaller
     budget is scored off that run (see :func:`_success_stats`).
     """
-    budgets = [int(b) for b in budgets]
+    budgets = [_integer("budget", b, 1) for b in budgets]
     _require_distinct(budgets, "budget")
-    ks = [int(k) for k in ks]
+    specs = [replace(spec, k=k) for k in ks]
     top = max(budgets)
     return _sweep(
-        "phase-iters", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials,
+        "phase-iters", specs, algorithms, [gamma], trials,
         budget=lambda s: top,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "budget": b, "k": s.k}, _success_stats(outcomes, b))
             for b in budgets
             for s, outcomes in runs
         ],
-        provenance={"spec": _ensemble_fields(spec), "budgets": budgets, "ks": ks, "gamma": gamma},
+        provenance={"spec": _ensemble_fields(spec), "budgets": budgets,
+                    "ks": [s.k for s in specs], "gamma": gamma},
     )
 
 
 def success_curves(spec, ks, algorithms, trials, gamma=0.9):
     """Success rate versus sparsity level, noiseless or noisy per the spec's
     noise amplitude; the noisy criterion is applied automatically."""
-    ks = [int(k) for k in ks]
+    specs = [replace(spec, k=k) for k in ks]
     return _sweep(
-        "phase-k", [replace(spec, k=k) for k in ks], algorithms, [gamma], trials,
+        "phase-k", specs, algorithms, [gamma], trials,
         budget=lambda s: None,
         cells=lambda alg, g, runs: [
             SweepCell({"algorithm": alg, "k": s.k}, {
@@ -348,7 +341,7 @@ def success_curves(spec, ks, algorithms, trials, gamma=0.9):
             })
             for s, outcomes in runs
         ],
-        provenance={"spec": _ensemble_fields(spec), "ks": ks, "gamma": gamma},
+        provenance={"spec": _ensemble_fields(spec), "ks": [s.k for s in specs], "gamma": gamma},
     )
 
 
@@ -381,7 +374,7 @@ def scaling_benchmark(ms, algorithms, trials, master_seed, gamma=0.9, timed=True
     byte-reproducible.  The warm-up and timed runs start from the zero
     iterate, never from a shared state.
     """
-    ms = [int(m) for m in ms]
+    ms = [_integer("m", m, 1) for m in ms]
     specs = [EnsembleSpec(m=m, n=5 * m, k=max(1, round(0.3 * m)), master_seed=master_seed)
              for m in ms]
 

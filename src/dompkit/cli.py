@@ -8,11 +8,13 @@ Data goes to stdout (JSON or CSV), diagnostics to stderr.  Exit codes:
 0 success, 1 verification violations, 2 usage errors (including any flag
 value the library rejects), 3 data errors (unreadable or malformed
 files), 4 numeric failures.  Flag values are checked by the library
-objects that consume them; this module only parses them.  A command
-rejects every flag it does not take: a sweep has only the flags of its
-`SWEEPS` row, spelled out in full, and a verify suite only those of its
-`VERIFY_SUITES` row.  Sweep commands require an explicit --seed; there
-is no hidden entropy.  Estimates in JSON use 1-based index:value pairs.
+objects that consume them; this module only parses them: a flag's type
+converts its text (``int``, ``float``, a comma-separated list) and checks
+no range.  A command rejects every flag it does not take: a sweep has
+only the flags of its `SWEEPS` row, spelled out in full, and a verify
+suite only those of its `VERIFY_SUITES` row.  Sweep commands require an
+explicit --seed; there is no hidden entropy.  Estimates in JSON use
+1-based index:value pairs.
 """
 
 import argparse
@@ -47,50 +49,36 @@ class UsageError(ValueError):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def _csv_list(convert, accept, expected):
-    """An argparse type: a nonempty comma-separated list of accepted values."""
+def _csv_list(convert, expected):
+    """An argparse type: a nonempty comma-separated list, each item converted."""
 
     def parse(text):
         try:
             values = [convert(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             values = []
-        if not values or not all(accept(v) for v in values):
+        if not values:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return values
 
     return parse
 
 
-_csv_ints = _csv_list(int, lambda v: v >= 1, "comma-separated positive integers")
-_csv_floats = _csv_list(float, lambda v: True, "comma-separated numbers")
-_csv_names = _csv_list(str.strip, lambda v: True, "a comma-separated list")
+_csv_ints = _csv_list(int, "comma-separated integers")
+_csv_floats = _csv_list(float, "comma-separated numbers")
+_csv_names = _csv_list(str.strip, "a comma-separated list")
 
 # Each sweep flag: the bench keyword it fills and its argparse options.
 _SWEEP_FLAGS = {
-    "m": ("m", dict(type=_positive_int)),
-    "n": ("n", dict(type=_positive_int)),
+    "m": ("m", dict(type=int)),
+    "n": ("n", dict(type=int)),
     "noise": ("noise_amplitude", dict(type=float, default=0.0,
                                       help="additive gaussian amplitude; switches to the noisy criterion")),
     "k-levels": ("ks", dict(type=_csv_ints, help="comma-separated sparsity levels")),
     "gammas": ("gammas", dict(type=_csv_floats, help="comma-separated threshold values")),
     "budgets": ("budgets", dict(type=_csv_ints, help="comma-separated iteration budgets")),
     "sizes": ("ms", dict(type=_csv_ints, help="comma-separated row counts m (n = 5m)")),
-    "trials": ("trials", dict(type=_positive_int, help="trials per cell")),
+    "trials": ("trials", dict(type=int, help="trials per cell")),
     "algos": ("algorithms", dict(type=_csv_names, help="comma-separated algorithm list")),
     "gamma": ("gamma", dict(type=float, default=0.9)),
     "timing": ("timed", dict(action=argparse.BooleanOptionalAction, default=True,
@@ -140,10 +128,10 @@ SWEEPS = {
 
 # Each verify flag, by the suite keyword it fills: the flag and its type.
 _VERIFY_FLAGS = {
-    "m": ("--m", _positive_int),
-    "n": ("--n", _positive_int),
-    "k": ("--k", _positive_int),
-    "c": ("--c", _positive_int),
+    "m": ("--m", int),
+    "n": ("--n", int),
+    "k": ("--k", int),
+    "c": ("--c", int),
     "gamma": ("--gamma", float),
     "noise_amplitude": ("--noise", float),
 }
@@ -174,11 +162,11 @@ def build_parser():
     rec = sub.add_parser("recover", help="recover one sparse vector from a matrix/measurement pair")
     rec.add_argument("--matrix", required=True, help="matrix file: 'm n' header then m rows")
     rec.add_argument("--measurements", required=True, help="vector file: 'n' header then n numbers")
-    rec.add_argument("--sparsity", required=True, type=_positive_int, help="target sparsity k")
+    rec.add_argument("--sparsity", required=True, type=int, help="target sparsity k")
     rec.add_argument("--algo", required=True, help=f"one of {', '.join(ALGORITHMS)}")
     rec.add_argument("--gamma", type=float, default=None,
                      help="selection threshold in (0, 1] for domp/edomp (default 0.9)")
-    rec.add_argument("--gomp-n", type=_positive_int, default=None, help="indices per gOMP iteration")
+    rec.add_argument("--gomp-n", type=int, default=None, help="indices per gOMP iteration")
     rec.add_argument(
         "--stop",
         default=None,
@@ -194,8 +182,8 @@ def build_parser():
         sw = sub.add_parser(command, help=helptext, allow_abbrev=False)
         sw.add_argument("--preset", choices=PRESETS, default=PRESETS[0],
                         help="desk: minutes-scale grid; full: the full-scale grid")
-        sw.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
-        sw.add_argument("--threads", type=_positive_int, default=1,
+        sw.add_argument("--seed", type=int, required=True, help="master seed")
+        sw.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: trials run one after another")
         sw.add_argument("--out", default=None, help="CSV path; provenance sidecar written next to it")
         for flag in flags:
@@ -205,17 +193,17 @@ def build_parser():
     ric = sub.add_parser("ric", help="exact restricted isometry constants by exhaustive enumeration")
     ric.add_argument("--matrix", required=True)
     order = ric.add_mutually_exclusive_group(required=True)
-    order.add_argument("--order", type=_positive_int, help="single order q")
+    order.add_argument("--order", type=int, help="single order q")
     order.add_argument("--highest", action="store_true", help="largest order with delta < 1")
-    ric.add_argument("--cap", type=_positive_int, default=theory.DEFAULT_ENUMERATION_CAP,
+    ric.add_argument("--cap", type=int, default=theory.DEFAULT_ENUMERATION_CAP,
                      help="support-enumeration cap")
     ric.add_argument("--output", default=None)
     ric.set_defaults(func=_cmd_ric)
 
     ver = sub.add_parser("verify", help="randomized verification suites for the recovery theory")
     ver.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    ver.add_argument("--trials", required=True, type=_positive_int)
-    ver.add_argument("--seed", required=True, type=_nonnegative_int)
+    ver.add_argument("--trials", required=True, type=int)
+    ver.add_argument("--seed", required=True, type=int)
     for key, (flag, kind) in _VERIFY_FLAGS.items():
         ver.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=kind, default=None)
     ver.add_argument("--output", default=None)

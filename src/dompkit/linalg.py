@@ -11,13 +11,15 @@ Arrays are checked once, where they enter: every public entry point
 that takes (A, y) calls the one rule ``_system``, one that takes A alone
 ``_as_matrix`` and ``_require_finite``; checked code then calls the
 unchecked cores ``_restricted_ls``, ``_penalized_ls`` and
-``_spectral_norm``.
+``_spectral_norm``.  Every integer input of the library (a sparsity, an
+order, a size, a count, a seed) is checked by the one rule ``_integer``.
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
 """
 
 import math
+import numbers
 import weakref
 
 import numpy as np
@@ -87,6 +89,20 @@ def _require_finite(*arrays):
                 raise ValueError("input contains NaN or Inf")
 
 
+def _integer(name, value, low, high=None):
+    """The one check of an integer input: ``value`` is a Python or numpy
+    integer, not a bool nor any float (3.0 too), with ``low <= value`` and,
+    when ``high`` is given, ``value <= high``.  Returns it as a Python int."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _system(A, y, x=None, names=("y", "x")):
     """The one check of a linear system: A two-dimensional (m x n), y of
     length m and x, when given, of length n, all finite.  Returns the float
@@ -114,9 +130,7 @@ def top_q_indices(v, q):
     strictly above it is taken, then the smallest-index ties.
     """
     v = _as_vector(v)
-    q = int(q)
-    if q < 1 or q > v.size:
-        raise ValueError(f"q must be in [1, {v.size}], got {q}")
+    q = _integer("q", q, 1, v.size)
     magnitudes = np.abs(v)
     np.fmax(magnitudes, -1.0, out=magnitudes)  # NaN becomes -1, below every |v|
     kth = np.partition(magnitudes, v.size - q)[v.size - q]
@@ -132,13 +146,9 @@ def hard_threshold(v, k):
     ``k = 0`` returns the zero vector, ``k = len(v)`` returns a copy.
     """
     v = _as_vector(v)
-    k = int(k)
-    if k < 0 or k > v.size:
-        raise ValueError(f"k must be in [0, {v.size}], got {k}")
+    k = _integer("k", k, 0, v.size)
     if k == 0:
         return np.zeros_like(v)
-    if k == v.size:
-        return v.copy()
     out = np.zeros_like(v)
     keep = top_q_indices(v, k)
     out[keep] = v[keep]

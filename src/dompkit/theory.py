@@ -148,9 +148,8 @@ def _ric(gram, q, cap):
     and then every support is eigensolved.
     """
     n = gram.shape[0]
-    q = int(q)
-    if q < 1 or q > n:
-        raise ValueError(f"order must be in [1, {n}], got {q}")
+    q = linalg._integer("order", q, 1, n)
+    cap = linalg._integer("cap", cap, 1)
     count = math.comb(n, q)
     if count > cap:
         raise EnumerationCapExceeded(n, q, count, cap)
@@ -291,10 +290,8 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     gram = _gram(A)
     if n and _ric(gram, 1, cap).delta >= 1.0:
         return 0
-    if 1 < n <= m:
-        eigs = np.linalg.eigvalsh(gram)
-        if max(float(eigs[-1]) - 1.0, 1.0 - float(eigs[0])) < 1.0 - _eig_margin(gram, n):
-            return n
+    if 1 < n <= m and _deviation(gram, np.arange(n)[None]) < 1.0 - _eig_margin(gram, n):
+        return n
     for t in range(2, n + 1):
         if _ric(gram, t, cap).delta >= 1.0:
             return t - 1
@@ -337,8 +334,7 @@ def exhaustive_theta(A, y):
 
 def _selection_width(k, gamma):
     algorithms._check_gamma(gamma)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = linalg._integer("k", k, 1)
     return 1.0 + math.sqrt(1.0 + k * gamma * gamma)
 
 
@@ -425,6 +421,7 @@ def _rate_constants(delta, k, gamma):
     delta = float(delta)
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    k = linalg._integer("k", k, 1)
     phi = _selection_width(k, gamma)
     one_minus_sq = math.sqrt(1.0 - delta * delta)
     beta = phi * delta / one_minus_sq
@@ -441,7 +438,7 @@ def _rate_constants(delta, k, gamma):
         (c2_star + zeta) / (1.0 - beta_star) if beta_star < 1.0 else math.inf
     )
     return dict(
-        delta=delta, k=int(k), gamma=float(gamma), phi=phi, beta=beta, varrho=varrho,
+        delta=delta, k=k, gamma=float(gamma), phi=phi, beta=beta, varrho=varrho,
         c1=c1, c2=c2, tau=tau, eta=GOLDEN_ETA, zeta=zeta, beta_star=beta_star,
         tau_star=tau_star, beta_lt_one=beta < 1.0, beta_star_lt_one=beta_star < 1.0,
     )
@@ -475,13 +472,13 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     """
     A, y = linalg._system(A, y)
     n = A.shape[1]
-    _check_sparsity(k, n)
+    k = linalg._integer("k", k, 1, n)
     support = linalg._as_support(support, n)
     selected = linalg._as_support(selected, n, name="selected")
     x_current = linalg._restricted_ls(A, y, support)
     r = A.T @ (y - A @ x_current)
     grown = np.union1d(support, selected).astype(np.int64)
-    top = linalg.top_q_indices(r, int(k))
+    top = linalg.top_q_indices(r, k)
     excluded = np.union1d(grown, linalg._as_support(true_support, n, name="true_support"))
     penalized = np.setdiff1d(top, excluded)
     enlarged = np.union1d(grown, penalized).astype(np.int64)
@@ -542,7 +539,7 @@ def verify_recovery_bound(A, x, noise, k, gamma, c, algorithm="domp"):
     enumerated.
     """
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
-    limit = _bound_limit(algorithm, k, gamma, c, A.shape[1])
+    limit, c, k = _bound_limit(algorithm, k, gamma, c, A.shape[1])
     ric = _ric(_gram(A), c * k, DEFAULT_ENUMERATION_CAP)
     if ric.delta >= limit or ric.delta == 0.0:
         gated = ric.delta >= limit
@@ -615,30 +612,21 @@ class VerificationSummary:
 
 
 def _trial_rng(seed, trial):
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
-
-
-def _check_sparsity(k, n):
-    if not 1 <= k <= n:
-        raise ValueError(f"sparsity k={k} must lie in [1, n] for n={n} columns")
-
-
-def _check_rows(m):
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
 def _bound_limit(algorithm, k, gamma, c, n):
-    """The RIC gate of the recovery bound on n columns, once its inputs pass:
-    a dynamic solver, c > 2, k in [1, n], c*k <= n and gamma in (0, 1]."""
+    """The RIC gate of the recovery bound on n columns and the checked c
+    and k, as (limit, c, k), once the inputs pass: a dynamic solver,
+    integers c >= 3 and k in [1, n] with c*k <= n, and gamma in (0, 1]."""
     if algorithm not in algorithms.DYNAMIC_SOLVERS:
         raise ValueError("recovery bound applies to the dynamic-selection solvers")
-    if c <= 2:
-        raise ValueError(f"c must exceed 2, got {c}")
-    _check_sparsity(k, n)
+    c = linalg._integer("c", c, 3)
+    k = linalg._integer("k", k, 1, n)
     if c * k > n:
         raise ValueError(f"the bound's RIC order c*k = {c * k} (c={c}, k={k}) exceeds n={n}")
-    return domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
+    limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
+    return limit, c, k
 
 
 def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
@@ -648,14 +636,15 @@ def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
     ``trial_slacks(rng, t)`` returns that trial's slacks: a negative slack
     is a violation, None an inconclusive check.  When ``families`` names
     the slacks of a trial by position, ``parameters`` also gets the
-    violations counted per family.
+    violations counted per family.  ``trials`` (at least 1) and ``seed``
+    (at least 0) are checked before trial 0.
     """
-    if trials < 1:
-        raise ValueError(f"a suite needs at least one trial, got {trials}")
+    trials = linalg._integer("trials", trials, 1)
+    seed = linalg._integer("seed", seed, 0)
     failed = Counter()  # violations per slack position
     inconclusive = 0
     min_slack = None
-    for trial in range(int(trials)):
+    for trial in range(trials):
         for position, slack in enumerate(trial_slacks(_trial_rng(seed, trial), trial)):
             if slack is None:
                 inconclusive += 1
@@ -668,12 +657,12 @@ def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
         parameters = {**parameters, "per_family_violations": per_family}
     return VerificationSummary(
         suite=suite,
-        instances=int(trials),
+        instances=trials,
         violations=sum(failed.values()),
         inconclusive=inconclusive,
         min_slack=min_slack,
         parameters=parameters,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -690,8 +679,9 @@ def projection_proximity_suite(
     One slack per trial: the smallest of the proximity bound's slack and
     the two side bounds' slacks, at the penalty sigma = 1e8 ||A||_2^2.
     """
-    _check_rows(m)
-    _check_sparsity(k, n)
+    m = linalg._integer("m", m, 1)
+    n = linalg._integer("n", n, 1)
+    k = linalg._integer("k", k, 1, n)
     algorithms._check_gamma(gamma)
 
     def trial_slacks(rng, trial):
@@ -745,8 +735,9 @@ def recovery_bound_suite(
     instance gives one slack, its smallest per-iteration margin, or none
     when no iteration is eligible.
     """
-    _check_rows(m)
-    _bound_limit(algorithm, k, gamma, c, n)
+    m = linalg._integer("m", m, 1)
+    n = linalg._integer("n", n, 1)
+    _, c, k = _bound_limit(algorithm, k, gamma, c, n)
     if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
 

@@ -479,6 +479,7 @@ def test_config_rejects_non_integer_counts(field, value):
 def test_config_accepts_numpy_integer_counts():
     config = AlgorithmConfig("gomp", np.int64(4), n_select=np.int32(2), max_iterations=np.int64(3))
     assert (config.k, config.n_select, config.max_iterations) == (4, 2, 3)
+    assert {type(v) for v in (config.k, config.n_select, config.max_iterations)} == {int}
     rng = np.random.default_rng(17)
     A, x, y = random_sparse_problem(rng, 20, 50, 4)
     assert run(A, y, config).iterations <= 3
@@ -512,6 +513,23 @@ def test_config_validation():
     A, x, y = random_sparse_problem(rng, 10, 20, 2)
     with pytest.raises(ValueError, match="ground truth"):
         run(A, y, AlgorithmConfig("domp", k=2, stopping=StoppingRule.relative_error(1e-5)))
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1e-5])
+def test_run_rejects_a_success_threshold_that_is_not_a_nonnegative_number(monkeypatch, threshold):
+    # such a threshold would score an exact recovery as a failure
+    rng = np.random.default_rng(15)
+    A, x, y = random_sparse_problem(rng, 20, 50, 3)
+    assert run(A, y, AlgorithmConfig("omp", 3), truth=x).success
+    monkeypatch.setattr(algorithms, "initial_state", lambda *args: pytest.fail("a state was built"))
+    with pytest.raises(ValueError, match=f"^success_threshold must be a nonnegative number, got {threshold}$"):
+        run(A, y, AlgorithmConfig("omp", 3), truth=x, success_threshold=threshold)
+
+
+def test_run_rejects_a_config_that_is_not_an_algorithm_config():
+    A, x, y = random_sparse_problem(np.random.default_rng(15), 20, 50, 3)
+    with pytest.raises(ValueError, match="^config must be an AlgorithmConfig$"):
+        run(A, y, "omp")
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -66,6 +66,8 @@ def test_generator_statistics():
 
 
 def test_ensemble_spec_validation():
+    spec = EnsembleSpec(m=np.int64(6), n=np.int32(10), k=np.uint8(2), master_seed=np.int16(1))
+    assert [(v, type(v)) for v in (spec.m, spec.n, spec.k, spec.master_seed)] == [(6, int), (10, int), (2, int), (1, int)]
     with pytest.raises(ValueError):
         EnsembleSpec(m=0, n=5, k=1, master_seed=1)
     with pytest.raises(ValueError):
@@ -77,7 +79,7 @@ def test_ensemble_spec_validation():
         EnsembleSpec(m=5, n=3, k=1, master_seed=1)
     with pytest.warns(RuntimeWarning):
         EnsembleSpec(m=2, n=5, k=3, master_seed=1)
-    with pytest.raises(ValueError, match="k=4 exceeds the n=3 columns"):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 3\], got 4$"):
         EnsembleSpec(m=5, n=3, k=4, master_seed=1)
 
 
@@ -85,9 +87,9 @@ def test_ensemble_spec_validation():
     "sweep,message",
     [
         (lambda: success_curves(EnsembleSpec(m=20, n=30, k=3, master_seed=1), [3, 40],
-                                ["omp", "domp"], trials=2), "k=40 exceeds the n=30 columns"),
+                                ["omp", "domp"], trials=2), r"^k must be in \[1, 30\], got 40$"),
         (lambda: gamma_sweep(EnsembleSpec(m=20, n=30, k=3, master_seed=1), [0.9], [3, 31],
-                             ["domp"], 2), "k=31 exceeds the n=30 columns"),
+                             ["domp"], 2), r"^k must be in \[1, 30\], got 31$"),
     ],
     ids=["phase-k", "phase-gamma"],
 )
@@ -312,6 +314,9 @@ def test_sweep_result_files_and_provenance():
     spec = EnsembleSpec(m=20, n=80, k=2, master_seed=33)
     res = success_curves(spec, [2], ["domp"], trials=4)
     assert res.to_csv().startswith("algorithm,k,")
+    assert res.cell(algorithm="domp", k=2).stats["trials"] == 4
+    with pytest.raises(KeyError, match="no cell with coordinates"):
+        res.cell(algorithm="domp", k=3)
     import json
 
     meta = json.loads(res.provenance_json())

@@ -3,7 +3,10 @@
 Every public entry point that takes a matrix checks its arrays by one
 rule, ``linalg._system``: a 1-D A, a vector of the wrong length and a
 NaN or Inf raise ValueError with one message per defect, whichever
-entry point is called.
+entry point is called.  Every integer input is checked by one rule too,
+``linalg._integer``: a float (3.0 included), a bool and a value out of
+range raise ValueError naming the input, before any trial, random draw or
+RIC enumeration.
 
 ``algorithms.iterate`` scans A and y for NaN/Inf once per run; every
 least-squares solve inside a step goes through the unchecked core
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dompkit import linalg, theory
+from dompkit import algorithms, bench, linalg, theory
 from dompkit.algorithms import ALGORITHMS, DYNAMIC_SOLVERS, AlgorithmConfig, iterate, run
 
 
@@ -123,6 +126,114 @@ def test_every_entry_point_rejects_bad_arrays_with_one_message(entry, spoil, mes
     with pytest.raises(ValueError) as raised:
         call(A, vectors)
     assert str(raised.value) == message
+
+
+# The arrays of the integer cases, built before any draw is forbidden.
+_A, _Y = _problem(34, M, N, 1)
+_X = np.zeros(N)
+_X[1] = 1.0
+_SPEC = bench.EnsembleSpec(m=6, n=10, k=2, master_seed=1)
+
+
+def _spec(**change):
+    return bench.EnsembleSpec(**{"m": 6, "n": 10, "k": 2, "master_seed": 1, **change})
+
+
+# entry point -> (the input's name, call on its value, a value just outside its range)
+INTEGER_INPUTS = {
+    "AlgorithmConfig-k": ("k", lambda v: AlgorithmConfig("omp", v), 0),
+    "AlgorithmConfig-n_select": ("n_select", lambda v: AlgorithmConfig("gomp", 4, n_select=v), 4),
+    "AlgorithmConfig-max_iterations": ("max_iterations", lambda v: AlgorithmConfig("omp", 2, max_iterations=v), -1),
+    "run-k": ("k", lambda v: run(_A, _Y, AlgorithmConfig("omp", v)), N + 1),
+    "EnsembleSpec-m": ("m", lambda v: _spec(m=v), 0),
+    "EnsembleSpec-n": ("n", lambda v: _spec(n=v), 0),
+    "EnsembleSpec-k": ("k", lambda v: _spec(k=v), 11),
+    "EnsembleSpec-master_seed": ("master_seed", lambda v: _spec(master_seed=v), -1),
+    "generate_problem": ("trial_index", lambda v: bench.generate_problem(_SPEC, v), -1),
+    "gamma_sweep-ks": ("k", lambda v: bench.gamma_sweep(_SPEC, [0.9], [2, v], ["omp"], 1), 11),
+    "gamma_sweep-trials": ("trials", lambda v: bench.gamma_sweep(_SPEC, [0.9], [2], ["omp"], v), 0),
+    "iteration_sweep-budgets": ("budget", lambda v: bench.iteration_sweep(_SPEC, [1, v], [2], ["omp"], 1), 0),
+    "iteration_sweep-ks": ("k", lambda v: bench.iteration_sweep(_SPEC, [1], [v], ["omp"], 1), 11),
+    "success_curves-ks": ("k", lambda v: bench.success_curves(_SPEC, [v], ["omp"], 1), 11),
+    "success_curves-trials": ("trials", lambda v: bench.success_curves(_SPEC, [2], ["omp"], v), 0),
+    "scaling_benchmark-ms": ("m", lambda v: bench.scaling_benchmark([v], ["omp"], 1, 1, timed=False), 0),
+    "scaling_benchmark-seed": (
+        "master_seed", lambda v: bench.scaling_benchmark([5], ["omp"], 1, v, timed=False), -1),
+    "top_q_indices": ("q", lambda v: linalg.top_q_indices(np.arange(5.0), v), 6),
+    "hard_threshold": ("k", lambda v: linalg.hard_threshold(np.arange(5.0), v), 6),
+    "ric_exact-order": ("order", lambda v: theory.ric_exact(_A, v), N + 1),
+    "ric_exact-cap": ("cap", lambda v: theory.ric_exact(_A, 2, cap=v), 0),
+    "highest_rip_order-cap": ("cap", lambda v: theory.highest_rip_order(_A, cap=v), 0),
+    "domp_ric_bound": ("k", lambda v: theory.domp_ric_bound(v, 0.9), 0),
+    "edomp_ric_bound": ("k", lambda v: theory.edomp_ric_bound(v, 0.9), 0),
+    "bound_constants": ("k", lambda v: theory.bound_constants(0.1, v, 0.9, 1.0, 1.0, 1.0), 0),
+    "verify_projection_proximity": (
+        "k", lambda v: theory.verify_projection_proximity(_A, _Y, [0], [1], v, 1.0), N + 1),
+    "verify_recovery_bound-c": ("c", lambda v: theory.verify_recovery_bound(_A, _X, np.zeros(M), 1, 0.9, v), 2),
+    "verify_recovery_bound-k": ("k", lambda v: theory.verify_recovery_bound(_A, _X, np.zeros(M), v, 0.9, 3), N + 1),
+    "projection_proximity_suite-m": ("m", lambda v: theory.projection_proximity_suite(1, 1, m=v), 0),
+    "projection_proximity_suite-n": ("n", lambda v: theory.projection_proximity_suite(1, 1, n=v), 0),
+    "projection_proximity_suite-k": ("k", lambda v: theory.projection_proximity_suite(1, 1, k=v), 31),
+    "recovery_bound_suite-m": ("m", lambda v: theory.recovery_bound_suite(1, 1, m=v), 0),
+    "recovery_bound_suite-n": ("n", lambda v: theory.recovery_bound_suite(1, 1, n=v), 0),
+    "recovery_bound_suite-k": ("k", lambda v: theory.recovery_bound_suite(1, 1, k=v), 13),
+    "recovery_bound_suite-c": ("c", lambda v: theory.recovery_bound_suite(1, 1, c=v), 2),
+    **{f"{suite}-{name}": (name, call, outside)
+       for suite in ("projection_proximity_suite", "recovery_bound_suite", "auxiliary_inequality_suite",
+                     "theta_equivalence_suite", "ric_monotonicity_suite")
+       for name, call, outside in (
+           ("trials", lambda v, suite=suite: getattr(theory, suite)(v, 1), 0),
+           ("seed", lambda v, suite=suite: getattr(theory, suite)(1, v), -1))},
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "outside"])
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_every_integer_input_is_checked_by_one_rule_before_any_work(monkeypatch, entry, value):
+    name, call, outside = INTEGER_INPUTS[entry]
+
+    def fail(*args, **kwargs):
+        pytest.fail("work started")
+
+    # every draw, trial, solver run and RIC enumeration
+    for owner, attr in ((np.random, "default_rng"), (bench, "run_trial"),
+                        (algorithms, "initial_state"), (theory, "_supports")):
+        monkeypatch.setattr(owner, attr, fail)
+    with pytest.raises(ValueError) as raised:
+        call(outside if value == "outside" else value)
+    message = str(raised.value)
+    if value == "outside":
+        assert message.startswith(f"{name} must be "), message
+        assert message.endswith(f", got {outside}"), message
+    else:
+        assert message == f"{name} must be an integer, got {value!r}"
+
+
+# Each a float count that was truncated, or passed a check and failed later.
+def test_recovery_bound_rejects_a_fractional_c_before_the_ric(monkeypatch):
+    monkeypatch.setattr(theory, "_ric", lambda *a: pytest.fail("the RIC was enumerated"))
+    A = np.random.default_rng(35).standard_normal((40, 8)) / np.sqrt(40)
+    x = np.zeros(8)
+    x[3] = 1.0
+    with pytest.raises(ValueError, match=r"^c must be an integer, got 3\.5$"):
+        theory.verify_recovery_bound(A, x, np.zeros(40), 2, 0.9, 3.5)
+
+
+def test_recovery_bound_suite_rejects_a_fractional_k_before_trial_zero(monkeypatch):
+    monkeypatch.setattr(theory, "_trial_rng", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.5$"):
+        theory.recovery_bound_suite(2, 1, k=1.5)
+
+
+def test_success_curves_rejects_a_fractional_sparsity_level(monkeypatch):
+    monkeypatch.setattr(bench, "run_trial", lambda *a: pytest.fail("a trial started"))
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.5$"):
+        bench.success_curves(_SPEC, [2.5], ["omp"], 1)
+
+
+def test_top_q_indices_rejects_a_fractional_q():
+    with pytest.raises(ValueError, match=r"^q must be an integer, got 2\.7$"):
+        linalg.top_q_indices(np.arange(5.0), 2.7)
 
 
 def _gamma(algorithm, gamma):

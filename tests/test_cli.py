@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dompkit import bench, linalg, theory
-from dompkit.cli import main
+from dompkit import bench, cli, linalg, theory
+from dompkit.cli import SWEEPS, main
 
 
 @pytest.fixture
@@ -329,7 +329,7 @@ def test_verify_bound_suite_rejects_an_order_above_n_before_any_trial(monkeypatc
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--c", "2", "c must exceed 2, got 2"),
+    ("--c", "2", "c must be at least 3, got 2"),
     ("--gamma", "0", "gamma must lie in (0, 1], got 0.0"),
 ], ids=["c", "gamma"])
 def test_verify_bound_suite_rejects_c_or_gamma_before_any_trial(monkeypatch, capsys, tmp_path,
@@ -361,7 +361,7 @@ def test_sweep_with_sparsity_above_n_fails_before_any_trial(monkeypatch, capsys,
     code = main(["phase-k", "--seed", "1", "--m", "20", "--n", "30", "--k-levels", "40",
                  "--trials", "1", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: sparsity k=40 exceeds the n=30 columns\n"
+    assert capsys.readouterr().err == "error: k must be in [1, 30], got 40\n"
     assert trials == []
     assert list(tmp_path.iterdir()) == []
 
@@ -502,24 +502,66 @@ def test_exit_code_table(exit_code_files, capsys, code, argv):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--k-levels", "3,x"], "argument --k-levels: expected comma-separated positive integers, "
-                                "got '3,x'"),
-        (["--k-levels", "0"], "argument --k-levels: expected comma-separated positive integers, "
-                              "got '0'"),
-        (["--trials", "0"], "argument --trials: expected a positive integer, got 0"),
-        (["--seed", "-1"], "argument --seed: expected a nonnegative integer, got -1"),
+        (["phase-gamma", *TINY_SWEEP, "--k-levels", "3,x"],
+         "argument --k-levels: expected comma-separated integers, got '3,x'"),
+        ([*RECOVER, "--matrix", "{eye}", "--sparsity", "2.5"], "argument --sparsity: invalid int value: '2.5'"),
     ],
+    ids=["k-levels", "sparsity"],
 )
-def test_malformed_flag_value_exits_two_with_the_parsers_message(capsys, argv, message):
+def test_malformed_flag_value_exits_two_with_the_parsers_message(exit_code_files, capsys, argv, message):
     # argparse prints the usage line first, so stderr does not start with
     # "error: " as a library rejection's does.
-    sweep = ["phase-gamma", "--seed", "1", "--trials", "1", "--m", "10", "--n", "20",
-             "--k-levels", "2"]
-    assert main([*sweep, *argv]) == 2
+    assert main([arg.format(**exit_code_files) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: dompkit phase-gamma ")
-    assert captured.err.endswith(f"dompkit phase-gamma: error: {message}\n")
+    assert captured.err.startswith(f"usage: dompkit {argv[0]} ")
+    assert captured.err.endswith(f"dompkit {argv[0]}: error: {message}\n")
+
+
+VERIFY_BOUND = ["verify", "--suite", "bound-domp", "--trials", "1", "--seed", "1"]
+
+
+# An integer flag parses as any integer; the library rejects one out of its
+# range.  Each case: the command and the library's message.
+OUT_OF_RANGE = {
+    "sweep-trials": (["phase-gamma", *TINY_SWEEP, "--trials", "0"], "trials must be at least 1, got 0"),
+    "sweep-k-levels": (["phase-gamma", *TINY_SWEEP, "--k-levels", "0"], "k must be in [1, 20], got 0"),
+    "sweep-seed": (["phase-gamma", *TINY_SWEEP, "--seed", "-1"], "master_seed must be at least 0, got -1"),
+    "sweep-m": (["phase-k", *TINY_SWEEP, "--m", "0"], "m must be at least 1, got 0"),
+    "sweep-budgets": (["phase-iters", *TINY_SWEEP, "--budgets", "0"], "budget must be at least 1, got 0"),
+    "sweep-sizes": (["scaling", "--seed", "1", "--trials", "1", "--sizes", "0"], "m must be at least 1, got 0"),
+    "verify-trials": ([*VERIFY_BOUND, "--trials", "0"], "trials must be at least 1, got 0"),
+    "verify-seed": ([*VERIFY_BOUND, "--seed", "-1"], "seed must be at least 0, got -1"),
+    "verify-k": ([*VERIFY_BOUND, "--k", "0"], "k must be in [1, 12], got 0"),
+    "verify-c": ([*VERIFY_BOUND, "--c", "2"], "c must be at least 3, got 2"),
+    "verify-m": ([*VERIFY_BOUND, "--m", "0"], "m must be at least 1, got 0"),
+    "recover-sparsity": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "0"], "k must be at least 1, got 0"),
+    "recover-gomp-n": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "3", "--algo", "gomp", "--gomp-n", "0"],
+                       "n_select must be in [1, 2], got 0"),
+    "recover-max-iters": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--stop", "max-iters:-1"],
+                          "max_iterations must be at least 0, got -1"),
+    "ric-order": (["ric", "--matrix", "{eye}", "--order", "0"], "order must be in [1, 4], got 0"),
+    "ric-cap": (["ric", "--matrix", "{eye}", "--highest", "--cap", "0"], "cap must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_integer_flag_out_of_range_exits_two_with_the_librarys_message(
+        monkeypatch, exit_code_files, tmp_path, capsys, argv, message):
+    def fail(*args, **kwargs):
+        pytest.fail("work started")
+
+    for owner, name in ((bench, "generate_problem"), (theory, "_trial_rng"), (theory, "_supports"),
+                        (cli, "run")):
+        monkeypatch.setattr(owner, name, fail)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = ["--out" if argv[0] in SWEEPS else "--output", str(out_dir / "result")]
+    assert main([arg.format(**exit_code_files) for arg in argv] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_recover_truth_of_the_wrong_length_is_a_data_error(tmp_path, capsys):

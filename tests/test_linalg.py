@@ -414,6 +414,17 @@ def test_spectral_norm_identity_and_diagonal():
     assert linalg.spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-10)
     assert linalg.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-10)
     assert linalg.spectral_norm(np.zeros((3, 5))) == 0.0
+    assert linalg.spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_vector_and_support_inputs_are_checked():
+    with pytest.raises(ValueError, match=r"^v must be one-dimensional, got shape \(2, 3\)$"):
+        linalg.top_q_indices(np.ones((2, 3)), 1)
+    A = np.eye(4)
+    with pytest.raises(ValueError, match=r"^y must be one-dimensional, got shape \(4, 1\)$"):
+        linalg.restricted_least_squares(A, np.ones((4, 1)), [0])
+    with pytest.raises(ValueError, match=r"^support contains indices outside \[0, 4\)$"):
+        linalg.restricted_least_squares(A, np.ones(4), [1, 4])
 
 
 def test_spectral_norm_matches_svd_oracle():
