@@ -114,16 +114,11 @@ def select_dynamic_indices(r, k, gamma):
     between 1 and k elements.  Raises :class:`ZeroResidualError` for a
     zero residual, which means the current iterate is already optimal.
     """
-    _check_gamma(gamma)
+    gamma = linalg._real("gamma", gamma, "(0, 1]")
     top = _top_nonzero(r, k)
     # top holds an index of max|r|, so its largest magnitude is max|r|.
     magnitudes = np.abs(np.asarray(r, dtype=float)[top])
     return top[magnitudes >= gamma * magnitudes.max()]
-
-
-def _check_gamma(gamma):
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
 def _next_state(A, y, previous, selected, support, x, solver=None, misfit=None):
@@ -256,7 +251,8 @@ def sp_step(state, A, y, k):
 class StoppingRule:
     """Exactly one threshold test: on the measurement or gradient residual,
     or on the relative error against the ground truth the run is given
-    (see :func:`iterate`); the iteration budget is the config's.  A rule
+    (see :func:`iterate`); the iteration budget is the config's.  ``epsilon``
+    passes ``linalg._real`` on [0, inf] and is a Python float.  A rule
     holds no array, so rules compare equal and hash by value."""
 
     kind: str
@@ -267,19 +263,19 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        _check_threshold("epsilon", self.epsilon)
+        object.__setattr__(self, "epsilon", linalg._real("epsilon", self.epsilon, "[0, inf]"))
 
     @classmethod
     def measurement_residual(cls, epsilon):
-        return cls(kind="measurement-residual", epsilon=float(epsilon))
+        return cls(kind="measurement-residual", epsilon=epsilon)
 
     @classmethod
     def gradient_residual(cls, epsilon):
-        return cls(kind="gradient-residual", epsilon=float(epsilon))
+        return cls(kind="gradient-residual", epsilon=epsilon)
 
     @classmethod
     def relative_error(cls, epsilon):
-        return cls(kind="relative-error", epsilon=float(epsilon))
+        return cls(kind="relative-error", epsilon=epsilon)
 
     def satisfied(self, state, truth=None):
         """Whether ``state`` passes; the relative-error kind compares with ``truth``."""
@@ -288,12 +284,6 @@ class StoppingRule:
         if self.kind == "gradient-residual":
             return float(np.linalg.norm(state.r)) <= self.epsilon
         return _relative_error(state.x, truth) <= self.epsilon
-
-
-def _check_threshold(name, value):
-    """A threshold is a nonnegative number: NaN and negatives are rejected."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be a nonnegative number, got {value}")
 
 
 def _relative_error(x, truth):
@@ -319,7 +309,7 @@ class AlgorithmConfig:
     ``max_iterations`` is the one iteration budget: by default k for the
     support-growing solvers and 500 for CoSaMP/SP.  k, ``n_select`` and
     ``max_iterations`` pass ``linalg._integer`` and are Python ints once
-    built.
+    built; a dynamic solver's gamma passes ``linalg._real`` on (0, 1].
     """
 
     algorithm: str
@@ -335,9 +325,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}")
         object.__setattr__(self, "k", linalg._integer("k", self.k, 1))
         if self.algorithm in DYNAMIC_SOLVERS:
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", 0.9)
-            _check_gamma(self.gamma)
+            gamma = 0.9 if self.gamma is None else self.gamma
+            object.__setattr__(self, "gamma", linalg._real("gamma", gamma, "(0, 1]"))
         elif self.gamma is not None:
             raise ValueError(f"gamma (selection threshold) applies to domp and edomp only, not {self.algorithm}")
         if self.n_select is not None and self.algorithm != "gomp":
@@ -490,7 +479,7 @@ def run(A, y, config, truth=None, success_threshold=1e-5, start=None):
     Deterministic given its inputs.  ``truth`` goes to :func:`iterate`,
     which checks it and stops a relative-error rule on it; when it is
     given, the report carries the relative error and a success flag at
-    ``success_threshold``, a nonnegative number like a stopping rule's
+    ``success_threshold``, a real in [0, inf] like a stopping rule's
     epsilon.  Raises ValueError on invalid input (see :func:`iterate`) and
     warns when k is not below m.
 
@@ -499,7 +488,7 @@ def run(A, y, config, truth=None, success_threshold=1e-5, start=None):
     after ``start`` and its ``wall_time`` covers only their steps;
     ``iterations`` still counts every step from the zero iterate.
     """
-    _check_threshold("success_threshold", success_threshold)
+    success_threshold = linalg._real("success_threshold", success_threshold, "[0, inf]")
     started = time.perf_counter()
     states = iterate(A, y, config, truth, start=start)
     state = next(states)

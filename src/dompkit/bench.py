@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import DYNAMIC_SOLVERS, AlgorithmConfig, IterateState, StoppingRule, run
-from .linalg import _integer, top_q_indices
+from .linalg import _integer, _real, top_q_indices
 
 __all__ = [
     "EnsembleSpec",
@@ -51,7 +51,8 @@ __all__ = [
 class EnsembleSpec:
     """One random-problem ensemble: sizes, seed, noise.  The entries of A
     are standard normal, with no column scaling.  m, n, k (at most n) and
-    the seed pass ``linalg._integer`` and are Python ints once built."""
+    the seed pass ``linalg._integer`` and are Python ints once built; the
+    noise amplitude passes ``linalg._real`` on [0, inf) and is a float."""
 
     m: int
     n: int
@@ -63,8 +64,7 @@ class EnsembleSpec:
         counts = (("m", 1, None), ("n", 1, None), ("k", 1, self.n), ("master_seed", 0, None))
         for name, low, high in counts:
             object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
-        if not (np.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
-            raise ValueError(f"noise amplitude must be finite and nonnegative, got {self.noise_amplitude}")
+        object.__setattr__(self, "noise_amplitude", _real("noise_amplitude", self.noise_amplitude, "[0, inf)"))
         if not self.k <= self.m <= self.n:
             warnings.warn(
                 f"nonstandard ensemble shape k={self.k}, m={self.m}, n={self.n} "
@@ -190,7 +190,10 @@ def _format_value(value):
     return str(value)
 
 
-def _require_distinct(values, axis):
+def _check_axis(values, axis):
+    """An axis of the sweep grid must hold at least one value, and each once."""
+    if not values:
+        raise ValueError("the sweep grid is empty")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ValueError(f"the sweep grid repeats {axis} {repeated[0]}")
@@ -222,11 +225,9 @@ def _sweep(name, specs, algorithms, gammas, trials, budget, cells, provenance, r
     """
     algorithms = list(algorithms)
     keys = [(alg, g) for alg in algorithms for g in gammas]
-    if not keys or not specs:
-        raise ValueError("the sweep grid is empty")
+    _check_axis(keys, "(algorithm, gamma)")
+    _check_axis([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
     trials = _integer("trials", trials, 1)
-    _require_distinct(keys, "(algorithm, gamma)")
-    _require_distinct([(s.m, s.n, s.k) for s in specs], "(m, n, k)")
     for spec in specs:
         for alg, g in keys:
             _config(alg, spec.k, g, budget(spec))
@@ -291,7 +292,7 @@ def gamma_sweep(spec, gammas, ks, algorithms, trials):
     Every solver runs for at most k iterations, stopping early once the
     recovery criterion is met.
     """
-    gammas = [float(g) for g in gammas]
+    gammas = [_real("gamma", g, "(0, 1]") for g in gammas]
     specs = [replace(spec, k=k) for k in ks]
     return _sweep(
         "phase-gamma", specs, algorithms, gammas, trials,
@@ -310,8 +311,9 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9):
     Each solver runs once per trial, to the largest budget; every smaller
     budget is scored off that run (see :func:`_success_stats`).
     """
+    gamma = _real("gamma", gamma, "(0, 1]")
     budgets = [_integer("budget", b, 1) for b in budgets]
-    _require_distinct(budgets, "budget")
+    _check_axis(budgets, "budget")
     specs = [replace(spec, k=k) for k in ks]
     top = max(budgets)
     return _sweep(
@@ -330,6 +332,7 @@ def iteration_sweep(spec, budgets, ks, algorithms, trials, gamma=0.9):
 def success_curves(spec, ks, algorithms, trials, gamma=0.9):
     """Success rate versus sparsity level, noiseless or noisy per the spec's
     noise amplitude; the noisy criterion is applied automatically."""
+    gamma = _real("gamma", gamma, "(0, 1]")
     specs = [replace(spec, k=k) for k in ks]
     return _sweep(
         "phase-k", specs, algorithms, [gamma], trials,
@@ -374,6 +377,7 @@ def scaling_benchmark(ms, algorithms, trials, master_seed, gamma=0.9, timed=True
     byte-reproducible.  The warm-up and timed runs start from the zero
     iterate, never from a shared state.
     """
+    gamma = _real("gamma", gamma, "(0, 1]")
     ms = [_integer("m", m, 1) for m in ms]
     specs = [EnsembleSpec(m=m, n=5 * m, k=max(1, round(0.3 * m)), master_seed=master_seed)
              for m in ms]

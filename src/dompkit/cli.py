@@ -39,9 +39,9 @@ PRESETS = ("desk", "full")
 # Each --stop kind: the AlgorithmConfig keyword it sets and what makes its value.
 _STOP_RULES = {
     "max-iters": ("max_iterations", int),
-    "residual": ("stopping", StoppingRule.measurement_residual),
-    "gradient": ("stopping", StoppingRule.gradient_residual),
-    "relerr": ("stopping", StoppingRule.relative_error),
+    "residual": ("stopping", lambda text: StoppingRule.measurement_residual(float(text))),
+    "gradient": ("stopping", lambda text: StoppingRule.gradient_residual(float(text))),
+    "relerr": ("stopping", lambda text: StoppingRule.relative_error(float(text))),
 }
 
 
@@ -223,7 +223,7 @@ def _emit(text, path):
 def _stop_setting(text):
     """{AlgorithmConfig keyword: value} that a --stop value kind:value sets, or {}.
 
-    The kind picks the keyword; the value's maker and AlgorithmConfig check it.
+    The kind picks the keyword and converts the text; the maker and AlgorithmConfig check it.
     """
     if text is None:
         return {}

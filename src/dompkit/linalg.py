@@ -12,7 +12,8 @@ that takes (A, y) calls the one rule ``_system``, one that takes A alone
 ``_as_matrix`` and ``_require_finite``; checked code then calls the
 unchecked cores ``_restricted_ls``, ``_penalized_ls`` and
 ``_spectral_norm``.  Every integer input of the library (a sparsity, an
-order, a size, a count, a seed) is checked by the one rule ``_integer``.
+order, a size, a count, a seed) is checked by the one rule ``_integer``,
+every real one by ``_real`` and every index set by ``_as_support``.
 
 Indices are 0-based throughout the Python API.  The CLI and its JSON
 output translate to 1-based indices at the boundary.
@@ -68,11 +69,13 @@ def _as_matrix(A, name="A"):
 
 
 def _as_support(indices, n, name="support"):
-    """Normalize an index collection to a sorted, duplicate-free int array."""
-    arr = np.unique(np.asarray(list(indices), dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError(f"{name} contains indices outside [0, {n})")
-    return arr
+    """The one check of an index set, possibly empty; returns it sorted, unique and int64."""
+    items = list(indices)
+    arr = np.asarray(items)  # a bool among integers converts to an integer
+    if (arr.ndim != 1 or any(isinstance(i, (bool, np.bool_)) for i in items)
+            or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n)):
+        raise ValueError(f"{name} must be a one-dimensional collection of integers in [0, {n})")
+    return np.unique(arr.astype(np.int64))
 
 
 def _require_finite(*arrays):
@@ -100,6 +103,27 @@ def _integer(name, value, low, high=None):
     if value < low or (high is not None and value > high):
         bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+_INTERVALS = {
+    "(0, 1]": lambda v: 0.0 < v <= 1.0,
+    "[0, 1)": lambda v: 0.0 <= v < 1.0,
+    "[0, inf)": lambda v: 0.0 <= v < math.inf,
+    "(0, inf)": lambda v: 0.0 < v < math.inf,
+    "[0, inf]": lambda v: v >= 0.0,
+}
+
+
+def _real(name, value, interval):
+    """The one check of a real input: a Python or numpy real (not a bool) in
+    ``interval``, a key of ``_INTERVALS`` (NaN lies in none); returns a float."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not _INTERVALS[interval](value):
+        raise ValueError(f"{name} must lie in {interval}, got {value}")
     return value
 
 
@@ -242,18 +266,16 @@ def _restricted_ls(A, y, support):
 def penalized_restricted_ls(A, y, support, penalized, sigma):
     """Minimize ||y - A z||^2 + sigma ||z_penalized||^2 over supp(z) in ``support``.
 
-    ``penalized`` must be a subset of ``support``; sigma must be positive.
-    Solved as an augmented least-squares system so the large penalty is
-    never squared through normal equations.
+    ``penalized`` must be a subset of ``support``; sigma must be positive
+    and finite.  Solved as an augmented least-squares system so the large
+    penalty is never squared through normal equations.
     """
     return _penalized_ls(*_system(A, y), support, penalized, sigma)
 
 
 def _penalized_ls(A, y, support, penalized, sigma):
     """:func:`penalized_restricted_ls` of a checked (A, y)."""
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _real("sigma", sigma, "(0, inf)")
     n = A.shape[1]
     support = _as_support(support, n)
     penalized = _as_support(penalized, n, name="penalized")

@@ -286,6 +286,7 @@ def highest_rip_order(A, cap=DEFAULT_ENUMERATION_CAP):
     """
     A = linalg._as_matrix(A)
     linalg._require_finite(A)
+    cap = linalg._integer("cap", cap, 1)
     m, n = A.shape
     gram = _gram(A)
     if n and _ric(gram, 1, cap).delta >= 1.0:
@@ -333,7 +334,7 @@ def exhaustive_theta(A, y):
 
 
 def _selection_width(k, gamma):
-    algorithms._check_gamma(gamma)
+    gamma = linalg._real("gamma", gamma, "(0, 1]")
     k = linalg._integer("k", k, 1)
     return 1.0 + math.sqrt(1.0 + k * gamma * gamma)
 
@@ -404,24 +405,22 @@ def bound_constants(delta, k, gamma, sigma, matrix_norm, theta):
     reconstruction-bound inequality itself.
     """
     rates = _rate_constants(delta, k, gamma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    norm = float(matrix_norm)
+    sigma = linalg._real("sigma", sigma, "(0, inf)")
+    norm = linalg._real("matrix_norm", matrix_norm, "[0, inf)")
+    theta = linalg._real("theta", theta, "[0, inf)")
     proximity_constant = _proximity_constant(norm, sigma)
     return BoundConstants(
-        **rates, sigma=float(sigma), matrix_norm=norm, theta=float(theta),
-        proximity_constant=proximity_constant,
-        epsilon=float(theta) * proximity_constant / math.sqrt(1.0 - rates["delta"]),
+        **rates, sigma=sigma, matrix_norm=norm, theta=theta, proximity_constant=proximity_constant,
+        epsilon=theta * proximity_constant / math.sqrt(1.0 - rates["delta"]),
     )
 
 
 def _rate_constants(delta, k, gamma):
     """The :class:`BoundConstants` fields that depend on (delta, k, gamma)
     alone, as a dict."""
-    delta = float(delta)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    delta = linalg._real("delta", delta, "[0, 1)")
     k = linalg._integer("k", k, 1)
+    gamma = linalg._real("gamma", gamma, "(0, 1]")
     phi = _selection_width(k, gamma)
     one_minus_sq = math.sqrt(1.0 - delta * delta)
     beta = phi * delta / one_minus_sq
@@ -438,7 +437,7 @@ def _rate_constants(delta, k, gamma):
         (c2_star + zeta) / (1.0 - beta_star) if beta_star < 1.0 else math.inf
     )
     return dict(
-        delta=delta, k=k, gamma=float(gamma), phi=phi, beta=beta, varrho=varrho,
+        delta=delta, k=k, gamma=gamma, phi=phi, beta=beta, varrho=varrho,
         c1=c1, c2=c2, tau=tau, eta=GOLDEN_ETA, zeta=zeta, beta_star=beta_star,
         tau_star=tau_star, beta_lt_one=beta < 1.0, beta_star_lt_one=beta_star < 1.0,
     )
@@ -473,14 +472,15 @@ def verify_projection_proximity(A, y, support, selected, k, sigma, true_support=
     A, y = linalg._system(A, y)
     n = A.shape[1]
     k = linalg._integer("k", k, 1, n)
+    sigma = linalg._real("sigma", sigma, "(0, inf)")
     support = linalg._as_support(support, n)
     selected = linalg._as_support(selected, n, name="selected")
+    true_support = linalg._as_support(true_support, n, name="true_support")
     x_current = linalg._restricted_ls(A, y, support)
     r = A.T @ (y - A @ x_current)
     grown = np.union1d(support, selected).astype(np.int64)
     top = linalg.top_q_indices(r, k)
-    excluded = np.union1d(grown, linalg._as_support(true_support, n, name="true_support"))
-    penalized = np.setdiff1d(top, excluded)
+    penalized = np.setdiff1d(top, np.union1d(grown, true_support))
     enlarged = np.union1d(grown, penalized).astype(np.int64)
 
     x_exact = linalg._restricted_ls(A, y, grown)
@@ -539,7 +539,7 @@ def verify_recovery_bound(A, x, noise, k, gamma, c, algorithm="domp"):
     enumerated.
     """
     A, noise, x = linalg._system(A, noise, x, names=("noise", "x"))
-    limit, c, k = _bound_limit(algorithm, k, gamma, c, A.shape[1])
+    limit, c, k, gamma = _bound_limit(algorithm, k, gamma, c, A.shape[1])
     ric = _ric(_gram(A), c * k, DEFAULT_ENUMERATION_CAP)
     if ric.delta >= limit or ric.delta == 0.0:
         gated = ric.delta >= limit
@@ -616,17 +616,18 @@ def _trial_rng(seed, trial):
 
 
 def _bound_limit(algorithm, k, gamma, c, n):
-    """The RIC gate of the recovery bound on n columns and the checked c
-    and k, as (limit, c, k), once the inputs pass: a dynamic solver,
-    integers c >= 3 and k in [1, n] with c*k <= n, and gamma in (0, 1]."""
+    """(limit, c, k, gamma): the RIC gate of the recovery bound on n columns
+    and the checked inputs, once they pass: a dynamic solver, integers
+    c >= 3 and k in [1, n] with c*k <= n, and a real gamma in (0, 1]."""
     if algorithm not in algorithms.DYNAMIC_SOLVERS:
         raise ValueError("recovery bound applies to the dynamic-selection solvers")
     c = linalg._integer("c", c, 3)
     k = linalg._integer("k", k, 1, n)
     if c * k > n:
         raise ValueError(f"the bound's RIC order c*k = {c * k} (c={c}, k={k}) exceeds n={n}")
+    gamma = linalg._real("gamma", gamma, "(0, 1]")
     limit = domp_ric_bound(k, gamma) if algorithm == "domp" else edomp_ric_bound(k, gamma)
-    return limit, c, k
+    return limit, c, k, gamma
 
 
 def _run_suite(suite, trials, seed, trial_slacks, parameters, families=()):
@@ -682,7 +683,7 @@ def projection_proximity_suite(
     m = linalg._integer("m", m, 1)
     n = linalg._integer("n", n, 1)
     k = linalg._integer("k", k, 1, n)
-    algorithms._check_gamma(gamma)
+    gamma = linalg._real("gamma", gamma, "(0, 1]")
 
     def trial_slacks(rng, trial):
         A = rng.standard_normal((m, n))
@@ -737,9 +738,8 @@ def recovery_bound_suite(
     """
     m = linalg._integer("m", m, 1)
     n = linalg._integer("n", n, 1)
-    _, c, k = _bound_limit(algorithm, k, gamma, c, n)
-    if not (math.isfinite(noise_amplitude) and noise_amplitude >= 0):
-        raise ValueError(f"noise amplitude must be finite and nonnegative, got {noise_amplitude}")
+    _, c, k, gamma = _bound_limit(algorithm, k, gamma, c, n)
+    noise_amplitude = linalg._real("noise_amplitude", noise_amplitude, "[0, inf)")
 
     def trial_slacks(rng, trial):
         A = rng.standard_normal((m, n)) / np.sqrt(m)

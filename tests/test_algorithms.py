@@ -522,7 +522,7 @@ def test_run_rejects_a_success_threshold_that_is_not_a_nonnegative_number(monkey
     A, x, y = random_sparse_problem(rng, 20, 50, 3)
     assert run(A, y, AlgorithmConfig("omp", 3), truth=x).success
     monkeypatch.setattr(algorithms, "initial_state", lambda *args: pytest.fail("a state was built"))
-    with pytest.raises(ValueError, match=f"^success_threshold must be a nonnegative number, got {threshold}$"):
+    with pytest.raises(ValueError, match=rf"^success_threshold must lie in \[0, inf\], got {threshold}$"):
         run(A, y, AlgorithmConfig("omp", 3), truth=x, success_threshold=threshold)
 
 

@@ -73,7 +73,7 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(m=5, n=5, k=1, master_seed=1, noise_amplitude=-0.1)
     for amplitude in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^noise_amplitude must lie in \[0, inf\), got {amplitude}$"):
             EnsembleSpec(m=5, n=5, k=1, master_seed=1, noise_amplitude=amplitude)
     with pytest.warns(RuntimeWarning):
         EnsembleSpec(m=5, n=3, k=1, master_seed=1)
@@ -277,11 +277,12 @@ SPEC = EnsembleSpec(m=20, n=60, k=3, master_seed=1)
 )
 def test_empty_sweep_grid_fails_before_any_problem(monkeypatch, sweep):
     # a grid without cells has no CSV header to write, and a cell without
-    # trials no rate
+    # trials no rate; an empty budget list is an empty grid too
     drawn = []
     monkeypatch.setattr(bench, "generate_problem", lambda *a: drawn.append(a))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         sweep()
+    assert str(raised.value) in ("the sweep grid is empty", "trials must be at least 1, got 0")
     assert drawn == []
 
 

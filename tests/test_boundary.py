@@ -6,7 +6,10 @@ NaN or Inf raise ValueError with one message per defect, whichever
 entry point is called.  Every integer input is checked by one rule too,
 ``linalg._integer``: a float (3.0 included), a bool and a value out of
 range raise ValueError naming the input, before any trial, random draw or
-RIC enumeration.
+RIC enumeration.  Every real input (gamma, delta, a threshold, a noise
+amplitude, sigma, ||A|| and theta) is checked by one rule as well,
+``linalg._real``: a bool, a string, NaN and a value outside its interval
+raise ValueError naming the input, before any of that work or any solve.
 
 ``algorithms.iterate`` scans A and y for NaN/Inf once per run; every
 least-squares solve inside a step goes through the unchecked core
@@ -22,6 +25,7 @@ for as long as the largest gradient magnitude is attained once.
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -187,18 +191,23 @@ INTEGER_INPUTS = {
 }
 
 
+def _forbid_work(monkeypatch):
+    """Make every draw, trial, solver run, RIC enumeration, least-squares
+    solve and gradient selection fail the test."""
+    def fail(*args, **kwargs):
+        pytest.fail("work started")
+
+    for owner, attr in ((np.random, "default_rng"), (bench, "run_trial"),
+                        (algorithms, "initial_state"), (theory, "_supports"),
+                        (linalg, "_restricted_ls"), (algorithms, "_top_nonzero")):
+        monkeypatch.setattr(owner, attr, fail)
+
+
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "outside"])
 @pytest.mark.parametrize("entry", INTEGER_INPUTS)
 def test_every_integer_input_is_checked_by_one_rule_before_any_work(monkeypatch, entry, value):
     name, call, outside = INTEGER_INPUTS[entry]
-
-    def fail(*args, **kwargs):
-        pytest.fail("work started")
-
-    # every draw, trial, solver run and RIC enumeration
-    for owner, attr in ((np.random, "default_rng"), (bench, "run_trial"),
-                        (algorithms, "initial_state"), (theory, "_supports")):
-        monkeypatch.setattr(owner, attr, fail)
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError) as raised:
         call(outside if value == "outside" else value)
     message = str(raised.value)
@@ -207,6 +216,109 @@ def test_every_integer_input_is_checked_by_one_rule_before_any_work(monkeypatch,
         assert message.endswith(f", got {outside}"), message
     else:
         assert message == f"{name} must be an integer, got {value!r}"
+
+
+_GAMMA, _UNIT, _HALF_LINE, _POSITIVE, _THRESHOLD = "(0, 1]", "[0, 1)", "[0, inf)", "(0, inf)", "[0, inf]"
+_BOUND = (0.1, 2, 0.9, 1.0, 1.0, 1.0)  # bound_constants(delta, k, gamma, sigma, matrix_norm, theta)
+
+
+def _bound_constants(position):
+    return lambda v: theory.bound_constants(*_BOUND[:position], v, *_BOUND[position + 1:])
+
+
+# entry point -> (the input's name, its interval, call on its value, a value just outside it)
+REAL_INPUTS = {
+    "AlgorithmConfig-gamma": ("gamma", _GAMMA, lambda v: AlgorithmConfig("domp", 2, gamma=v), 1.5),
+    "select_dynamic_indices": (
+        "gamma", _GAMMA, lambda v: algorithms.select_dynamic_indices(np.arange(5.0), 2, v), 0.0),
+    "domp_ric_bound": ("gamma", _GAMMA, lambda v: theory.domp_ric_bound(2, v), 0.0),
+    "edomp_ric_bound": ("gamma", _GAMMA, lambda v: theory.edomp_ric_bound(2, v), 1.5),
+    "bound_constants-delta": ("delta", _UNIT, _bound_constants(0), 1.0),
+    "bound_constants-gamma": ("gamma", _GAMMA, _bound_constants(2), 0.0),
+    "bound_constants-sigma": ("sigma", _POSITIVE, _bound_constants(3), 0.0),
+    "bound_constants-matrix_norm": ("matrix_norm", _HALF_LINE, _bound_constants(4), -1.0),
+    "bound_constants-theta": ("theta", _HALF_LINE, _bound_constants(5), -1.0),
+    "projection_proximity_suite-gamma": (
+        "gamma", _GAMMA, lambda v: theory.projection_proximity_suite(1, 1, gamma=v), 1.5),
+    "recovery_bound_suite-gamma": ("gamma", _GAMMA, lambda v: theory.recovery_bound_suite(1, 1, gamma=v), 0.0),
+    "recovery_bound_suite-noise_amplitude": (
+        "noise_amplitude", _HALF_LINE, lambda v: theory.recovery_bound_suite(1, 1, noise_amplitude=v), -0.5),
+    "verify_recovery_bound-gamma": (
+        "gamma", _GAMMA, lambda v: theory.verify_recovery_bound(_A, _X, np.zeros(M), 1, v, 3), 0.0),
+    "verify_projection_proximity-sigma": (
+        "sigma", _POSITIVE, lambda v: theory.verify_projection_proximity(_A, _Y, [0], [1], 2, v), np.inf),
+    "penalized_restricted_ls-sigma": (
+        "sigma", _POSITIVE, lambda v: linalg.penalized_restricted_ls(_A, _Y, [0, 1], [1], v), np.inf),
+    # the sweeps check gamma with no dynamic solver in the grid too
+    "gamma_sweep-gammas": ("gamma", _GAMMA, lambda v: bench.gamma_sweep(_SPEC, [0.9, v], [2], ["omp"], 1), 1.5),
+    "iteration_sweep-gamma": (
+        "gamma", _GAMMA, lambda v: bench.iteration_sweep(_SPEC, [1], [2], ["omp"], 1, gamma=v), 0.0),
+    "success_curves-gamma": ("gamma", _GAMMA, lambda v: bench.success_curves(_SPEC, [2], ["omp"], 1, gamma=v), 5.0),
+    "scaling_benchmark-gamma": (
+        "gamma", _GAMMA, lambda v: bench.scaling_benchmark([5], ["omp"], 1, 1, gamma=v, timed=False), -3.0),
+    "EnsembleSpec-noise_amplitude": ("noise_amplitude", _HALF_LINE, lambda v: _spec(noise_amplitude=v), np.inf),
+    "StoppingRule-epsilon": (
+        "epsilon", _THRESHOLD, lambda v: algorithms.StoppingRule("measurement-residual", v), -1.0),
+    **{f"StoppingRule.{maker}": ("epsilon", _THRESHOLD, getattr(algorithms.StoppingRule, maker), -1e-5)
+       for maker in ("measurement_residual", "gradient_residual", "relative_error")},
+    "run-success_threshold": (
+        "success_threshold", _THRESHOLD,
+        lambda v: run(_A, _Y, AlgorithmConfig("omp", 2), truth=_X, success_threshold=v), -1.0),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", np.nan, "outside"])
+@pytest.mark.parametrize("entry", REAL_INPUTS)
+def test_every_real_input_is_checked_by_one_rule_before_any_work(monkeypatch, entry, value):
+    name, interval, call, outside = REAL_INPUTS[entry]
+    value = outside if value == "outside" else value
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    if isinstance(value, (bool, str)):
+        assert str(raised.value) == f"{name} must be a real number, got {value!r}"
+    else:
+        assert str(raised.value) == f"{name} must lie in {interval}, got {value}"
+
+
+def test_real_inputs_are_stored_as_python_floats():
+    # numpy reals and integers pass and are stored as floats; inf is a
+    # valid stopping and success threshold
+    assert type(AlgorithmConfig("domp", 2, gamma=np.float32(0.5)).gamma) is float
+    assert type(AlgorithmConfig("edomp", 2, gamma=1).gamma) is float
+    assert type(_spec(noise_amplitude=np.float64(0.25)).noise_amplitude) is float
+    assert _spec(noise_amplitude=0).noise_amplitude == 0.0
+    rule = algorithms.StoppingRule.measurement_residual(np.inf)
+    assert rule.epsilon == np.inf and type(algorithms.StoppingRule.gradient_residual(0).epsilon) is float
+    assert run(_A, _Y, AlgorithmConfig("omp", 2), truth=_X, success_threshold=np.inf).success
+    constants = theory.bound_constants(np.float64(0.1), 2, 1, 1, np.float32(2.0), 0)
+    assert [type(getattr(constants, f)) for f in ("delta", "gamma", "sigma", "matrix_norm", "theta")] == [float] * 5
+
+
+def test_suites_and_sweeps_record_the_checked_reals():
+    # a numpy real is recorded as the float it passed as, which JSON takes
+    half, zero = np.float32(0.5), np.float32(0.0)
+    bound = theory.recovery_bound_suite(1, 1, m=200, n=6, gamma=half, noise_amplitude=zero)
+    assert json.loads(bound.to_json())["parameters"] == {
+        "m": 200, "n": 6, "k": 1, "c": 3, "gamma": 0.5, "noise_amplitude": 0.0}
+    proximity = theory.projection_proximity_suite(1, 1, gamma=half)
+    assert json.loads(proximity.to_json())["parameters"]["gamma"] == 0.5
+    curves = bench.success_curves(_spec(noise_amplitude=zero), [2], ["omp", "domp"], 1, gamma=half)
+    assert json.loads(curves.provenance_json())["gamma"] == 0.5
+    assert json.loads(curves.provenance_json())["spec"]["noise"] == 0.0
+    gammas = bench.gamma_sweep(_SPEC, [half], [2], ["domp"], 1)
+    assert json.loads(gammas.provenance_json())["gammas"] == [0.5]
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_a_ridge_weight_that_is_not_finite_never_reaches_lapack(capfd, sigma):
+    # past the check, such a sigma reaches the SVD, where LAPACK prints a
+    # complaint about an illegal parameter before LinAlgError is raised
+    for entry in ("penalized_restricted_ls-sigma", "verify_projection_proximity-sigma"):
+        call = REAL_INPUTS[entry][2]
+        with pytest.raises(ValueError, match=r"^sigma must lie in \(0, inf\), got (nan|inf)$"):
+            call(sigma)
+    assert capfd.readouterr() == ("", "")
 
 
 # Each a float count that was truncated, or passed a check and failed later.

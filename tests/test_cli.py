@@ -144,7 +144,8 @@ def test_recover_stop_rule_parsing(identity_problem, capsys):
         ["recover", "--matrix", matrix, "--measurements", measurements,
          "--sparsity", "1", "--algo", "omp", "--stop", "relerr:1e-5"]
     ) == 2
-    for stop in ("nonsense", "max-iters:-1", "max-iters:x", "max-iters:2.5", "max-iters:"):
+    for stop in ("nonsense", "max-iters:-1", "max-iters:x", "max-iters:2.5", "max-iters:",
+                 "residual:x", "gradient:", "residual:1e-5:2"):
         assert main(
             ["recover", "--matrix", matrix, "--measurements", measurements,
              "--sparsity", "1", "--algo", "omp", "--stop", stop]
@@ -545,9 +546,46 @@ OUT_OF_RANGE = {
 }
 
 
+# A real flag parses as any float; the library rejects NaN and a value out
+# of its interval, also where no solver in the grid reads it.
+REAL_OUT_OF_RANGE = {
+    "phase-k-gamma": (["phase-k", *TINY_SWEEP, "--algos", "omp", "--gamma", "5"],
+                      "gamma must lie in (0, 1], got 5.0"),
+    "scaling-gamma": (["scaling", "--seed", "1", "--trials", "1", "--sizes", "10", "--algos", "omp",
+                       "--gamma", "-3", "--no-timing"], "gamma must lie in (0, 1], got -3.0"),
+    "phase-iters-gamma": (["phase-iters", *TINY_SWEEP, "--algos", "omp", "--gamma", "nan"],
+                          "gamma must lie in (0, 1], got nan"),
+    "phase-gamma-gammas": (["phase-gamma", *TINY_SWEEP, "--algos", "omp", "--gammas", "0.5,1.5"],
+                           "gamma must lie in (0, 1], got 1.5"),
+    "sweep-noise": (["phase-k", *TINY_SWEEP, "--noise", "-0.1"], "noise_amplitude must lie in [0, inf), got -0.1"),
+    "verify-gamma": ([*VERIFY_BOUND, "--gamma", "1.5"], "gamma must lie in (0, 1], got 1.5"),
+    "verify-noise": ([*VERIFY_BOUND, "--noise", "inf"], "noise_amplitude must lie in [0, inf), got inf"),
+    "proximity-gamma": (["verify", "--suite", "proximity", "--trials", "1", "--seed", "1", "--gamma", "nan"],
+                        "gamma must lie in (0, 1], got nan"),
+    "recover-gamma": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--algo", "domp", "--gamma", "2"],
+                      "gamma must lie in (0, 1], got 2.0"),
+    "recover-residual": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--stop", "residual:-1"],
+                         "bad stopping rule 'residual:-1': epsilon must lie in [0, inf], got -1.0"),
+    "recover-gradient": ([*RECOVER, "--matrix", "{eye}", "--sparsity", "1", "--stop", "gradient:nan"],
+                         "bad stopping rule 'gradient:nan': epsilon must lie in [0, inf], got nan"),
+}
+
+
 @pytest.mark.parametrize("argv,message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
 def test_integer_flag_out_of_range_exits_two_with_the_librarys_message(
         monkeypatch, exit_code_files, tmp_path, capsys, argv, message):
+    _rejected_before_any_work(monkeypatch, exit_code_files, tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv,message", REAL_OUT_OF_RANGE.values(), ids=REAL_OUT_OF_RANGE)
+def test_real_flag_out_of_range_exits_two_with_the_librarys_message(
+        monkeypatch, exit_code_files, tmp_path, capsys, argv, message):
+    _rejected_before_any_work(monkeypatch, exit_code_files, tmp_path, capsys, argv, message)
+
+
+def _rejected_before_any_work(monkeypatch, exit_code_files, tmp_path, capsys, argv, message):
+    """``argv`` exits 2 with ``message`` on one line, writing no output
+    file and drawing, enumerating or solving nothing."""
     def fail(*args, **kwargs):
         pytest.fail("work started")
 

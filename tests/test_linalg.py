@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dompkit import algorithms, linalg
+from dompkit import algorithms, linalg, theory
 
 
 def test_top_q_indices_basic():
@@ -423,8 +423,46 @@ def test_vector_and_support_inputs_are_checked():
     A = np.eye(4)
     with pytest.raises(ValueError, match=r"^y must be one-dimensional, got shape \(4, 1\)$"):
         linalg.restricted_least_squares(A, np.ones((4, 1)), [0])
-    with pytest.raises(ValueError, match=r"^support contains indices outside \[0, 4\)$"):
-        linalg.restricted_least_squares(A, np.ones(4), [1, 4])
+    message = r"^support must be a one-dimensional collection of integers in \[0, 4\)$"
+    for outside in ([1, 4], [-1]):
+        with pytest.raises(ValueError, match=message):
+            linalg.restricted_least_squares(A, np.ones(4), outside)
+    # numpy integers of any width, repeated and unsorted, name their columns
+    assert np.array_equal(linalg.restricted_least_squares(A, np.ones(4), np.uint8([3, 1, 3])), [0, 1, 0, 1])
+
+
+# Each an index set that is not a one-dimensional collection of integers,
+# though numpy converts it to an integer array.
+BAD_SUPPORTS = {"bools": [True, False, True], "int-and-bool": [1, True], "numpy-int-and-bool": [np.int64(1), False],
+                "floats": [3.7, 7.2], "strings": ["3"], "nested": [[0, 1]],
+                "matrix": np.zeros((2, 2), dtype=np.int64)}
+_EYE8 = np.eye(8)
+_ONES8 = np.ones(8)
+# (caller, the index set's name, call on the index set)
+SUPPORT_INPUTS = [
+    ("restricted_least_squares", "support", lambda s: linalg.restricted_least_squares(_EYE8, _ONES8, s)),
+    ("penalized-support", "support", lambda s: linalg.penalized_restricted_ls(_EYE8, _ONES8, s, [], 1.0)),
+    ("penalized-penalized", "penalized", lambda s: linalg.penalized_restricted_ls(_EYE8, _ONES8, range(8), s, 1.0)),
+    ("proximity-support", "support", lambda s: theory.verify_projection_proximity(_EYE8, _ONES8, s, [1], 2, 1.0)),
+    ("proximity-selected", "selected", lambda s: theory.verify_projection_proximity(_EYE8, _ONES8, [0], s, 2, 1.0)),
+    ("proximity-true_support", "true_support",
+     lambda s: theory.verify_projection_proximity(_EYE8, _ONES8, [0], [1], 2, 1.0, true_support=s)),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_SUPPORTS.values(), ids=BAD_SUPPORTS)
+@pytest.mark.parametrize("caller,name,call", SUPPORT_INPUTS, ids=[c[0] for c in SUPPORT_INPUTS])
+def test_an_index_set_must_be_a_one_dimensional_collection_of_integers(monkeypatch, caller, name, call, bad):
+    monkeypatch.setattr(linalg, "_restricted_ls", lambda *a: pytest.fail("a solve started"))
+    with pytest.raises(ValueError, match=rf"^{name} must be a one-dimensional collection of integers in \[0, 8\)$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("empty", [[], (), range(0), np.array([]), np.array([], dtype=np.int64)],
+                         ids=["list", "tuple", "range", "float-array", "int-array"])
+@pytest.mark.parametrize("caller,name,call", SUPPORT_INPUTS, ids=[c[0] for c in SUPPORT_INPUTS])
+def test_an_empty_index_set_is_valid(caller, name, call, empty):
+    call(empty)
 
 
 def test_spectral_norm_matches_svd_oracle():

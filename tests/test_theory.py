@@ -193,6 +193,15 @@ def test_highest_rip_order_identity():
     assert theory.highest_rip_order(np.eye(5)) == 5
 
 
+@pytest.mark.parametrize("cap,message", [(2.5, "cap must be an integer, got 2.5"),
+                                         (0, "cap must be at least 1, got 0")])
+def test_highest_rip_order_checks_its_cap_without_columns(cap, message):
+    # a matrix with no columns enumerates nothing, so the cap is checked at entry
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        theory.highest_rip_order(np.zeros((3, 0)), cap=cap)
+    assert theory.highest_rip_order(np.zeros((3, 0))) == 0
+
+
 def test_highest_rip_order_duplicate_pair():
     A = np.zeros((4, 3))
     A[0, 0] = 1.0
@@ -715,5 +724,5 @@ def test_suites_reject_fewer_than_one_trial_before_trial_zero(monkeypatch, suite
 
 
 def test_recovery_bound_suite_rejects_nonfinite_noise():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^noise_amplitude must lie in \[0, inf\), got nan$"):
         theory.recovery_bound_suite(1, 0, noise_amplitude=float("nan"))
